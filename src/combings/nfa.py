@@ -270,33 +270,47 @@ def equivalent(a: Nfa, b: Nfa) -> bool:
     return difference_witness(a, b) is None
 
 
-def difference(a: Nfa, b: Nfa) -> Nfa:
-    """An automaton for L(a) minus L(b), built from the product of the two
-    subset constructions."""
+def _subset_product(a: Nfa, b: Nfa):
+    """Breadth-first product of the subset construction of a with the lazy
+    subset construction of b, before any vertex is made terminal.  Returns
+    (edges, a_accepts, b_subsets) over dense ids with 0 initial: vertex i
+    accepts in a when a_accepts[i], and b_subsets[i] is the set of b's
+    vertices reached there (empty once b is dead).  Nothing depends on b's
+    terminals, so one product answers every terminal set of b; branches
+    where a dies are not followed."""
     if a.alphabet != b.alphabet:
         raise ValueError("automata over different alphabets")
     sa, ta, fa = _dfa(a)
-    sb, tb, fb = _dfa(b)
-    k = len(a.alphabet)
-    ids: dict[tuple[int, int], int] = {(sa, sb): 0}
+    start = (sa, eps_closure(b, [b.initial]))
+    ids: dict[tuple[int, frozenset[int]], int] = {start: 0}
+    a_accepts = [fa[sa]]
+    b_subsets = [start[1]]
     edges: list[Edge] = []
-    terms: list[int] = []
-    queue = deque([(sa, sb)])
+    queue = deque([start])
+    k = len(a.alphabet)
     while queue:
         pa, pb = queue.popleft()
         me = ids[(pa, pb)]
-        if pa >= 0 and fa[pa] and not (pb >= 0 and fb[pb]):
-            terms.append(me)
         for x in range(k):
-            qa = ta[pa][x] if pa >= 0 else -1
+            qa = ta[pa][x]
             if qa == -1:
                 continue  # nothing of L(a) survives down this branch
-            qb = tb[pb][x] if pb >= 0 else -1
-            if (qa, qb) not in ids:
-                ids[(qa, qb)] = len(ids)
-                queue.append((qa, qb))
-            edges.append((me, x, ids[(qa, qb)]))
-    return trim(Nfa(a.alphabet, len(ids), edges, 0, terms))
+            key = (qa, step(b, pb, x))
+            if key not in ids:
+                ids[key] = len(ids)
+                a_accepts.append(fa[qa])
+                b_subsets.append(key[1])
+                queue.append(key)
+            edges.append((me, x, ids[key]))
+    return edges, a_accepts, b_subsets
+
+
+def difference(a: Nfa, b: Nfa) -> Nfa:
+    """An automaton for L(a) minus L(b), built from the product of the two
+    subset constructions."""
+    edges, a_accepts, b_subsets = _subset_product(a, b)
+    terms = [i for i, s in enumerate(b_subsets) if a_accepts[i] and not s & b.terminals]
+    return trim(Nfa(a.alphabet, len(b_subsets), edges, 0, terms))
 
 
 def intersection(a: Nfa, b: Nfa) -> Nfa:

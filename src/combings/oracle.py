@@ -123,7 +123,12 @@ class AbelianOracle(GroupOracle):
                     "are not negatives of each other"
                 )
         self.weights: tuple[tuple[int, ...], ...] = tuple(vecs)  # type: ignore[arg-type]
-        self._dist: dict[tuple[int, ...], int] = {}
+        # With every weight zero or a signed unit vector ±e_i, the word
+        # metric is the L1 norm, and the axes no weight reaches lie outside
+        # the image.
+        self._l1 = all(sum(map(abs, v)) <= 1 for v in self.weights)
+        self._off_axes = tuple(i for i in range(rank) if not any(v[i] for v in self.weights))
+        self._dist: dict[tuple[int, ...], Optional[int]] = {}
         self._dist_radius = -1
 
     def identity_element(self):
@@ -142,10 +147,23 @@ class AbelianOracle(GroupOracle):
         return tuple(-c for c in e)
 
     def distance_from_identity(self, e, cap: Optional[int] = None) -> Optional[int]:
+        """The word-metric distance, or None past cap.  Unless the L1 norm
+        applies, it is read off a cached breadth-first ball, and it is None
+        also when that ball outgrows DEFAULT_BALL_CAP elements before e
+        shows up."""
         cap = DEFAULT_BALL_CAP if cap is None else cap
-        # grow a cached BFS ball until e shows up or the radius passes cap
-        while e not in self._dist and self._dist_radius < cap:
-            self._grow_dist_ball()
+        if self._l1:
+            # _dist memoizes the queries here; None marks an element outside
+            # the image
+            if e not in self._dist:
+                self._dist[e] = None if any(e[i] for i in self._off_axes) else sum(map(abs, e))
+        else:
+            while (
+                e not in self._dist
+                and self._dist_radius < cap
+                and len(self._dist) <= DEFAULT_BALL_CAP
+            ):
+                self._grow_dist_ball()
         d = self._dist.get(e)
         if d is None or d > cap:
             return None
@@ -163,10 +181,6 @@ class AbelianOracle(GroupOracle):
                 f = self.mul_right(e, letter)
                 if f not in self._dist:
                     self._dist[f] = r + 1
-        if len(self._dist) > DEFAULT_BALL_CAP:
-            raise CapExceeded(
-                f"distance ball exceeded {DEFAULT_BALL_CAP} elements at radius {r + 1}"
-            )
         self._dist_radius = r + 1
 
 
@@ -189,13 +203,12 @@ class FiniteOracle(GroupOracle):
         for g in range(n):
             if self.table[0][g] != g or self.table[g][0] != g:
                 raise ValueError("element 0 is not an identity for the table")
-        inverse = [None] * n
+        inverse = []
         for g in range(n):
-            for h in range(n):
-                if self.table[g][h] == 0:
-                    inverse[g] = h
-        if any(v is None for v in inverse):
-            raise ValueError("some element has no inverse in the table")
+            two_sided = [h for h in range(n) if self.table[g][h] == 0 == self.table[h][g]]
+            if not two_sided:
+                raise ValueError(f"element {g} has no two-sided inverse in the table")
+            inverse.append(two_sided[0])
         self.inverse = tuple(inverse)
         imgs: list[Optional[int]] = [None] * len(alphabet)
         for sym, g in letter_images.items():
@@ -216,7 +229,28 @@ class FiniteOracle(GroupOracle):
                     "are not mutually inverse"
                 )
         self.letter_images: tuple[int, ...] = tuple(imgs)  # type: ignore[arg-type]
-        self._dist: Optional[dict[int, int]] = None
+        dist = {0: 0}
+        queue = deque([0])
+        while queue:
+            g = queue.popleft()
+            for letter in range(len(alphabet)):
+                h = self.mul_right(g, letter)
+                if h not in dist:
+                    dist[h] = dist[g] + 1
+                    queue.append(h)
+        self._dist = dist
+        # Light's associativity test: the elements g with (a·g)·b = a·(g·b)
+        # for all a, b are closed under products, so checking the letter
+        # images and the elements they do not reach covers the whole table.
+        t = self.table
+        for g in set(self.letter_images) | (set(range(n)) - set(dist)):
+            col = [t[g][b] for b in range(n)]
+            for a in range(n):
+                ta, tag = t[a], t[t[a][g]]
+                if any(tag[b] != ta[c] for b, c in enumerate(col)):
+                    raise ValueError(
+                        f"the table is not associative: ({a}·{g})·b differs from {a}·({g}·b)"
+                    )
 
     def identity_element(self):
         return 0
@@ -234,17 +268,6 @@ class FiniteOracle(GroupOracle):
         return self.inverse[e]
 
     def distance_from_identity(self, e, cap: Optional[int] = None) -> Optional[int]:
-        if self._dist is None:
-            dist = {0: 0}
-            queue = deque([0])
-            while queue:
-                g = queue.popleft()
-                for letter in range(len(self.alphabet)):
-                    h = self.mul_right(g, letter)
-                    if h not in dist:
-                        dist[h] = dist[g] + 1
-                        queue.append(h)
-            self._dist = dist
         d = self._dist.get(e)
         if d is None or (cap is not None and d > cap):
             return None

@@ -733,6 +733,28 @@ def _check_upto(t: Transducer, core_e, pairs, marks: dict, limit: int = 60) -> t
     return True, ""
 
 
+def _shared_difference(c0: Nfa, ends, prod: Transducer, statelist):
+    """DFA(C0) times the subset construction of the first tape of the pair
+    product, shared by every suffix candidate x.  Returns (n, edges, bit,
+    masks): bit gives a bit of its own to each class h of a pair-product
+    state (p, q, h) with p and q in ends, and masks maps each vertex where
+    C0 accepts to the bits of such classes in its subset.  C0 minus N_x is
+    this automaton accepting where the mask misses the bits of x's dset."""
+    proj = Nfa(c0.alphabet, prod.n, [(s, lab[0], d) for s, lab, d in prod.edges], prod.initial, [])
+    edges, c0_accepts, subsets = nfa_mod._subset_product(c0, proj)
+    end_h = {j: h for j, (p, q, h) in enumerate(statelist) if p in ends and q in ends}
+    bit = {h: 1 << i for i, h in enumerate(set(end_h.values()))}
+    end_bit = {j: bit[h] for j, h in end_h.items()}
+    masks = {}
+    for i, (acc, sub) in enumerate(zip(c0_accepts, subsets)):
+        if acc:
+            m = 0
+            for j in sub:
+                m |= end_bit.get(j, 0)
+            masks[i] = m
+    return len(subsets), edges, bit, masks
+
+
 def build_combing(
     l: LinearLanguage,
     o: GroupOracle,
@@ -844,11 +866,11 @@ def build_combing(
     c0e = nfa_mod.remove_epsilon(c0)
     prod, statelist = _pair_product(c0e, c0e, o, bl_r)
     reach_h = {h for (_p, _q, h) in statelist}
-    proj_edges = [(s, lab[0], d) for s, lab, d in prod.edges]
 
     x_elems = [(x, o.element(x)) for x in xs]
     pieces = []
     kept: list[str] = []
+    shared = None  # built at the first nonempty dset
     for i, (x, ex) in enumerate(x_elems):
         dset = set()
         for y, ey in x_elems[:i]:
@@ -856,13 +878,12 @@ def build_combing(
             if diff in reach_h:
                 dset.add(diff)
         if dset:
-            terms = [
-                j
-                for j, (p, q, h) in enumerate(statelist)
-                if h in dset and p in c0e.terminals and q in c0e.terminals
-            ]
-            n_x = Nfa(alphabet, prod.n, proj_edges, prod.initial, terms)
-            cx = nfa_mod.difference(c0, n_x)
+            if shared is None:
+                shared = _shared_difference(c0, c0e.terminals, prod, statelist)
+            n, edges, bit, masks = shared
+            dmask = sum(bit.get(h, 0) for h in dset)
+            terms = [j for j, m in masks.items() if not m & dmask]
+            cx = Nfa(alphabet, n, edges, 0, terms)
         else:
             cx = c0
         cx = nfa_mod.trim(cx)

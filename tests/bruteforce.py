@@ -9,6 +9,7 @@ so agreement on bounded languages is meaningful evidence.
 from itertools import product
 
 from combings import Nfa, Transducer, Word
+from combings import nfa as nfa_mod
 
 
 def words_upto(alphabet, maxlen):
@@ -136,6 +137,54 @@ def pairs_of_transducer(t: Transducer, max_total: int) -> set:
                 stack.append(key)
     ab = t.alphabet
     return {(Word(ab, u), Word(ab, v)) for u, v in out}
+
+
+def _eager_dfa(a: Nfa):
+    """Subset construction over the whole reachable subset space, ids in
+    breadth-first discovery order; -1 is the dead subset."""
+    eps, step = _nfa_tables(a)
+    start = _closure(eps, {a.initial})
+    ids = {start: 0}
+    order = [start]
+    trans = []
+    for s in order:
+        row = []
+        for x in range(len(a.alphabet)):
+            t = _closure(eps, {q for p in s for q in step.get((p, x), ())})
+            if not t:
+                row.append(-1)
+                continue
+            if t not in ids:
+                ids[t] = len(order)
+                order.append(t)
+            row.append(ids[t])
+        trans.append(row)
+    return trans, [bool(s & a.terminals) for s in order]
+
+
+def difference_eager(a: Nfa, b: Nfa) -> Nfa:
+    """L(a) minus L(b) as the breadth-first product of two eagerly built
+    subset constructions, trimmed by the library's trim: the numbering the
+    library's difference must reproduce exactly."""
+    ta, fa = _eager_dfa(a)
+    tb, fb = _eager_dfa(b)
+    ids = {(0, 0): 0}
+    order = [(0, 0)]
+    edges = []
+    terms = []
+    for me, (pa, pb) in enumerate(order):
+        if fa[pa] and not (pb >= 0 and fb[pb]):
+            terms.append(me)
+        for x in range(len(a.alphabet)):
+            qa = ta[pa][x]
+            if qa == -1:
+                continue
+            key = (qa, tb[pb][x] if pb >= 0 else -1)
+            if key not in ids:
+                ids[key] = len(order)
+                order.append(key)
+            edges.append((me, x, ids[key]))
+    return nfa_mod.trim(Nfa(a.alphabet, len(order), edges, 0, terms))
 
 
 def concat_sets(xs, ys, maxlen):

@@ -5,6 +5,7 @@ from combings import nfa as nfa_mod
 from bruteforce import (
     accepts_bf,
     concat_sets,
+    difference_eager,
     lang_of_nfa,
     random_nfa,
     random_word,
@@ -114,6 +115,25 @@ def test_difference_intersection(rng, ab2):
         la, lb = lang_of_nfa(a, 5), lang_of_nfa(b, 5)
         assert lang_of_nfa(nfa_mod.difference(a, b), 5) == la - lb
         assert lang_of_nfa(nfa_mod.intersection(a, b), 5) == la & lb
+
+
+def test_difference_matches_eager_product(rng, ab2):
+    # One lazy product answers every terminal set of b; the ids, edges and
+    # terminals must be those of the eager product for each of them.
+    for _ in range(60):
+        a = random_nfa(rng, ab2)
+        b = random_nfa(rng, ab2)
+        for _ in range(4):
+            terms = [q for q in range(b.n) if rng.random() < 0.5]
+            bt = Nfa(ab2, b.n, b.edges, b.initial, terms)
+            got = nfa_mod.difference(a, bt)
+            want = difference_eager(a, bt)
+            assert (got.n, got.edges, got.initial, got.terminals) == (
+                want.n,
+                want.edges,
+                want.initial,
+                want.terminals,
+            )
 
 
 def test_witness_is_shortest(rng, ab2):

@@ -85,6 +85,61 @@ def test_finite_oracle_validation(ab1):
         FiniteOracle(ab1, [[0, 1], [1, 0]], letter_images={"a": 2})
 
 
+def test_finite_oracle_rejects_one_sided_inverse(ab1):
+    # 1·2 = 0 but 2·1 = 1: element 1 has a right inverse and no left one
+    with pytest.raises(ValueError, match="two-sided inverse"):
+        FiniteOracle(ab1, [[0, 1, 2], [1, 2, 0], [2, 1, 0]], letter_images={"a": 2})
+
+
+def test_finite_oracle_rejects_nonassociative_loop(ab1):
+    # a Latin square with identity 0 and every element its own inverse: a
+    # loop of order 5, which cannot be a group
+    loop = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 4, 0, 1, 3],
+        [3, 2, 4, 0, 1],
+        [4, 3, 1, 2, 0],
+    ]
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteOracle(ab1, loop, letter_images={"a": 1})
+    # the same loop with an image that reaches nothing but itself: the
+    # unreached elements are tested directly
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteOracle(ab1, loop, letter_images={"a": 0})
+
+
+def test_finite_oracle_accepts_nonabelian_group(ab1):
+    # S3 as permutations of {0,1,2}, composed left to right
+    perms = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)]
+    idx = {p: i for i, p in enumerate(perms)}
+    table = [[idx[tuple(q[p[i]] for i in range(3))] for q in perms] for p in perms]
+    o = FiniteOracle(ab1, table, letter_images={"a": idx[(1, 2, 0)]})
+    assert o.element(ab1.word("aaa")) == 0
+    assert o.distance_from_identity(idx[(1, 0, 2)]) is None
+
+
+def test_abelian_distance_unit_weights_is_l1(ab3):
+    o = AbelianOracle(ab3, 3, {"a": [1, 0, 0], "b": [0, 1, 0], "c": [0, 0, 1]})
+    far = ab3.word("a" * 20 + "b" * 20 + "c" * 20)
+    assert ft_distance(o, "sync", far, ab3.word(""), cap=64) == 60
+    assert o.distance_from_identity((20, -20, 20), cap=60) == 60
+    assert o.distance_from_identity((20, -20, 20), cap=59) is None
+    # a zero-weight letter leaves the metric alone; an axis no letter
+    # reaches is out of the group's image
+    flat = AbelianOracle(ab3, 3, {"a": [1, 0, 0], "b": [0, 1, 0], "c": [0, 0, 0]})
+    assert flat.distance_from_identity((2, -3, 0)) == 5
+    assert flat.distance_from_identity((0, 0, 1)) is None
+
+
+def test_abelian_distance_ball_overflow_is_unknown(ab2, monkeypatch):
+    monkeypatch.setattr(orc, "DEFAULT_BALL_CAP", 30)
+    o = AbelianOracle(ab2, 2, {"a": [2, 0], "b": [1, 1]})
+    assert o.distance_from_identity((3, 1)) == 2
+    assert o.distance_from_identity((40, 0)) is None
+    assert o.distance_from_identity((3, 1)) == 2
+
+
 def test_ball_reps_are_shortlex_least(ab2, z2_oracle):
     bl = ball(z2_oracle, 3)
     for w in words_upto(ab2, 3):
