@@ -81,23 +81,28 @@ def combine_linear(op: str, a: LinearLanguage, b: LinearLanguage) -> LinearLangu
 def intersect_regular(l: LinearLanguage, r: Nfa) -> LinearLanguage:
     """Intersect with a regular language, staying linear.
 
-    The regular side is split per vertex into pairs (X_i, Y_i) with
-    R = ∪ X_i·Y_i; the transduction is intersected with each rectangle
-    X_i × Y_i' where Y_i' holds the second-tape counterpart of Y_i
-    (inverses of members in inverse mode, reversals in reversal mode).
+    The trimmed regular side splits per vertex p into (X_p, Y_p) with
+    R = ∪ X_p·Y_p, and the transduction is intersected with each rectangle
+    X_p × Y_p', where Y_p' holds the second-tape counterpart of Y_p
+    (inverses of members in inverse mode, reversals in reversal mode); the
+    union of the rectangles is the answer.  X_p is r with terminal p, and
+    Y_p' is the reversed r with terminal p, so all rectangles share one
+    product: its states (t-state, r-state, r'-state) are built once, and
+    rectangle p is that product trimmed to the terminals (t-terminal, p, p).
     """
     if l.t.alphabet != r.alphabet:
         raise ValueError("different alphabets")
     r = nfa_mod.trim(r)
-    parts: list[Transducer] = []
-    for x_i, y_i in nfa_mod.split_decomposition(r):
-        if l.mode == "inverse":
-            y_side = nfa_mod.inverse_lang(y_i)
-        else:
-            y_side = nfa_mod.reverse(y_i)
-        piece = td.trim(td.intersect_rect(l.t, x_i, y_side))
-        if piece.terminals:
-            parts.append(piece)
+    y_side = nfa_mod.inverse_lang(r) if l.mode == "inverse" else nfa_mod.reverse(r)
+    first, first_keys = td._product_side(l.t, r, 0)
+    split_at = [q if p in l.t.terminals else None for p, q in first_keys]
+    both, keys = td._product_side(first, y_side, 1)
+    del first  # with its adjacency, a third of both's size: free it before the trims
+    term_sets: list[list[int]] = [[] for _ in range(r.n)]
+    for i, (f, q) in enumerate(keys):
+        if split_at[f] == q:
+            term_sets[q].append(i)
+    parts = [p for p in td._trim_each(both, term_sets) if p.terminals]
     if not parts:
         return LinearLanguage(
             Transducer(l.t.alphabet, 1, [], 0, []), l.mode

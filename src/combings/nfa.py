@@ -90,12 +90,23 @@ def accepts(a: Nfa, w: Word) -> bool:
 
 
 def _reachable(n: int, edges: Iterable[Edge], starts: Iterable[int], forward: bool) -> set[int]:
+    return _search(_arrows(n, edges, forward), starts)
+
+
+def _arrows(n: int, edges: Iterable[Edge], forward: bool) -> list[list[int]]:
+    """Successor lists of (src, label, dst) edges, or predecessor lists when
+    not forward; the label is ignored, so transducer edges serve as well."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for s, _x, d in edges:
         if forward:
             adj[s].append(d)
         else:
             adj[d].append(s)
+    return adj
+
+
+def _search(adj: list[list[int]], starts: Iterable[int]) -> set[int]:
+    """Every vertex reachable in adj from some start."""
     seen = set(starts)
     stack = list(seen)
     while stack:

@@ -346,10 +346,11 @@ def ft_bound_of_combing(
     if len(members) > max_members:
         members = members[:max_members]
     elems = [(w, o.element(w)) for w in members]
+    inverses = [o.inv_element(e) for _w, e in elems]
     worst = 0
     for i, (u, _eu) in enumerate(elems):
-        for v, _ev in elems[i + 1 :]:
-            d = o.distance_from_identity(o.element(invert_word(u) + v), 1)
+        for v, ev in elems[i + 1 :]:
+            d = o.distance_from_identity(_mul_elems(o, inverses[i], ev), 1)
             if d is None or d > 1:
                 continue
             f = ft_distance(o, mode, u, v, cap)
@@ -578,7 +579,9 @@ def extract_generators(
     Built per letter a as the C × C pair product over the radius-ft_bound
     Cayley ball, accepting at terminal × terminal × (class of a), with the
     pair (a, ε) appended; the union over letters is intersected with the
-    nonempty freely reduced words.  Complete for pairs that asynchronously
+    nonempty freely reduced words.  The product is built once and the
+    per-letter pieces are its trims to those terminal sets, which is all
+    they differ in.  Complete for pairs that asynchronously
     fellow-travel within ft_bound; garbage in, garbage out when c is not
     actually a combing.
     """
@@ -586,7 +589,8 @@ def extract_generators(
     bl = ball(o, ft_bound, cap)
     prod, statelist = _pair_product(c, c, o, bl)
     alphabet = c.alphabet
-    pieces = []
+    letters = []
+    term_sets = []
     for a in range(len(alphabet)):
         ea = o.letter_element(a)
         if ea not in bl.dist:
@@ -596,9 +600,11 @@ def extract_generators(
             for i, (p, q, h) in enumerate(statelist)
             if h == ea and p in c.terminals and q in c.terminals
         ]
-        if not terms:
-            continue
-        rho = td.trim(Transducer(alphabet, prod.n, prod.edges, prod.initial, terms))
+        if terms:
+            letters.append(a)
+            term_sets.append(terms)
+    pieces = []
+    for a, rho in zip(letters, td._trim_each(prod, term_sets)):
         if not rho.terminals:
             continue
         tail = td.from_pairs(alphabet, [(Word(alphabet, (a,)), alphabet.empty_word())])

@@ -8,7 +8,7 @@ where either side may be None for epsilon.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from . import nfa as nfa_mod
 from .nfa import Nfa
@@ -94,18 +94,28 @@ def accepts_pair(t: Transducer, u: Word, v: Word) -> bool:
 
 
 def trim(t: Transducer) -> Transducer:
-    fwd = nfa_mod._reachable(t.n, [(s, 0, d) for s, _l, d in t.edges], [t.initial], True)
-    bwd = nfa_mod._reachable(t.n, [(s, 0, d) for s, _l, d in t.edges], t.terminals, False)
-    keep = (fwd & bwd) | {t.initial}
-    order = sorted(keep)
-    remap = {old: new for new, old in enumerate(order)}
-    edges = [
-        (remap[s], lab, remap[d])
-        for s, lab, d in t.edges
-        if s in keep and d in keep and s in fwd and d in bwd
-    ]
-    terms = [remap[x] for x in t.terminals if x in keep and x in fwd]
-    return Transducer(t.alphabet, len(order), edges, remap[t.initial], terms)
+    return _trim_each(t, [t.terminals])[0]
+
+
+def _trim_each(t: Transducer, term_sets: Iterable[Collection[int]]) -> list[Transducer]:
+    """trim(t) once per terminal set.  The pieces share t's states, edges and
+    initial vertex, so the forward search, the reverse adjacency and the
+    forward-reachable edges are computed once; only the backward search
+    runs per set.  An edge from a reachable vertex into a co-reachable one
+    has both ends kept, so that is the whole edge filter."""
+    fwd = nfa_mod._reachable(t.n, t.edges, [t.initial], True)
+    back = nfa_mod._arrows(t.n, t.edges, False)
+    fwd_edges = [e for e in t.edges if e[0] in fwd]
+    out = []
+    for terms in term_sets:
+        bwd = nfa_mod._search(back, terms)
+        keep = (fwd & bwd) | {t.initial}
+        order = sorted(keep)
+        remap = {old: new for new, old in enumerate(order)}
+        edges = [(remap[s], lab, remap[d]) for s, lab, d in fwd_edges if d in bwd]
+        kept_terms = [remap[x] for x in terms if x in fwd]
+        out.append(Transducer(t.alphabet, len(order), edges, remap[t.initial], kept_terms))
+    return out
 
 
 def union(a: Transducer, b: Transducer) -> Transducer:
@@ -162,33 +172,35 @@ def project(t: Transducer, coordinate: str) -> Nfa:
     return Nfa(t.alphabet, t.n, edges, t.initial, t.terminals)
 
 
-def _product_side(t: Transducer, r: Nfa, side: int) -> Transducer:
+def _product_side(
+    t: Transducer, r: Nfa, side: int
+) -> tuple[Transducer, list[tuple[int, int]]]:
     """Restrict tape `side` (0 or 1) of t to the language of r.
 
-    Product states are pairs (t-state, r-state).  A t-edge whose tape label
-    is epsilon leaves the r-state in place (the loop trick: r is padded with
-    epsilon loops at every vertex); r's own epsilon edges advance alone under
-    an (ε,ε) label.
+    Product states are pairs (t-state, r-state), returned in id order next
+    to the product.  A t-edge whose tape label is epsilon leaves the r-state
+    in place (the loop trick: r is padded with epsilon loops at every
+    vertex); r's own epsilon edges advance alone under an (ε,ε) label.
+    Both adjacencies are walked in sorted label order, so the ids do not
+    depend on the iteration order of the edge sets.
     """
     if t.alphabet != r.alphabet:
         raise ValueError("different alphabets")
-    radj = r.adjacency()
+    radj = [sorted(row, key=lambda m: (_num(m[0]), m[1])) for row in r.adjacency()]
+    tadj = [sorted(row, key=lambda m: (_num(m[0][0]), _num(m[0][1]), m[1])) for row in t.adjacency()]
     ids: dict[tuple[int, int], int] = {}
+    keys: list[tuple[int, int]] = []
     edges: list[TEdge] = []
-    queue = deque()
 
     def sid(p: int, q: int) -> int:
         key = (p, q)
         if key not in ids:
-            ids[key] = len(ids)
-            queue.append(key)
+            ids[key] = len(keys)
+            keys.append(key)
         return ids[key]
 
     start = sid(t.initial, r.initial)
-    tadj = t.adjacency()
-    while queue:
-        p, q = queue.popleft()
-        me = ids[(p, q)]
+    for me, (p, q) in enumerate(keys):
         for lab, p2 in tadj[p]:
             x = lab[side]
             if x is None:
@@ -200,16 +212,19 @@ def _product_side(t: Transducer, r: Nfa, side: int) -> Transducer:
         for rl, q2 in radj[q]:
             if rl is None:
                 edges.append((me, (None, None), sid(p, q2)))
-    terms = [
-        ids[(p, q)] for (p, q) in ids if p in t.terminals and q in r.terminals
-    ]
-    return Transducer(t.alphabet, len(ids), edges, start, terms)
+    terms = [i for i, (p, q) in enumerate(keys) if p in t.terminals and q in r.terminals]
+    return Transducer(t.alphabet, len(keys), edges, start, terms), keys
+
+
+def _num(x: Optional[int]) -> int:
+    """A letter index, with epsilon as -1, so that labels sort."""
+    return -1 if x is None else x
 
 
 def intersect_rect(t: Transducer, r: Nfa, s: Nfa) -> Transducer:
     """Intersect the transduction with the rectangle R × S: keep pairs (u,v)
     with u in L(r) and v in L(s)."""
-    return _product_side(_product_side(t, r, 0), s, 1)
+    return _product_side(_product_side(t, r, 0)[0], s, 1)[0]
 
 
 def identity_of(r: Nfa) -> Transducer:

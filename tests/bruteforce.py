@@ -8,8 +8,9 @@ so agreement on bounded languages is meaningful evidence.
 
 from itertools import product
 
-from combings import Nfa, Transducer, Word
+from combings import LinearLanguage, Nfa, Transducer, Word
 from combings import nfa as nfa_mod
+from combings import transducer as td
 
 
 def words_upto(alphabet, maxlen):
@@ -185,6 +186,29 @@ def difference_eager(a: Nfa, b: Nfa) -> Nfa:
                 order.append(key)
             edges.append((me, x, ids[key]))
     return nfa_mod.trim(Nfa(a.alphabet, len(order), edges, 0, terms))
+
+
+def intersect_regular_per_rectangle(l: LinearLanguage, r: Nfa) -> LinearLanguage:
+    """Intersection of a linear language with a regular one, built one
+    rectangle at a time: for each vertex of the trimmed r, its own
+    intersect_rect and trim, then the union of the nonempty pieces.  This
+    is the numbering the library's shared product must reproduce exactly."""
+    r = nfa_mod.trim(r)
+    parts = []
+    for x_i, y_i in nfa_mod.split_decomposition(r):
+        if l.mode == "inverse":
+            y_side = nfa_mod.inverse_lang(y_i)
+        else:
+            y_side = nfa_mod.reverse(y_i)
+        piece = td.trim(td.intersect_rect(l.t, x_i, y_side))
+        if piece.terminals:
+            parts.append(piece)
+    if not parts:
+        return LinearLanguage(Transducer(l.t.alphabet, 1, [], 0, []), l.mode)
+    out = parts[0]
+    for p in parts[1:]:
+        out = td.union(out, p)
+    return LinearLanguage(out, l.mode)
 
 
 def concat_sets(xs, ys, maxlen):

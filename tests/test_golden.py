@@ -1,6 +1,13 @@
 """Golden builds: the canonical text of C' for the ℤ, ℤ/3 and ℤ² round trips,
-fixed so that a faster construction must reproduce it byte for byte."""
+and of the ℤ² extract, fixed so that a faster construction must reproduce
+it byte for byte."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import combings
 from combings import Alphabet, Nfa, Transducer, fileformat
 from combings import structures as st
 from combings import transducer as td
@@ -72,6 +79,27 @@ edge 5 B 5
 
 AB2 = Alphabet.from_pairs([("a", "A"), ("b", "B")])
 
+Z2_EXTRACT = (Path(__file__).parent / "data" / "z2_extract.txt").read_text(encoding="utf-8")
+
+
+def z2_extract():
+    """The README shortlex combing of ℤ², extracted at ft_bound 2."""
+    ab = AB2
+    o = AbelianOracle(ab, 2, {"a": [1, 0], "b": [0, 1]})
+    slex = Nfa(
+        ab,
+        5,
+        [
+            (0, 0, 1), (1, 0, 1),
+            (0, 1, 2), (2, 1, 2),
+            (0, 2, 3), (1, 2, 3), (2, 2, 3), (3, 2, 3),
+            (0, 3, 4), (1, 3, 4), (2, 3, 4), (4, 3, 4),
+        ],
+        0,
+        [0, 1, 2, 3, 4],
+    )
+    return st.extract_generators(slex, o, ft_bound=2), o
+
 
 def test_golden_z():
     """The README session: the conjugates of b under a -> 1, b -> 0."""
@@ -104,23 +132,8 @@ def test_golden_z3():
 
 
 def test_golden_z2():
-    """The README shortlex combing of ℤ², extracted at ft_bound 2 and
-    rebuilt centrally."""
-    ab = AB2
-    o = AbelianOracle(ab, 2, {"a": [1, 0], "b": [0, 1]})
-    slex = Nfa(
-        ab,
-        5,
-        [
-            (0, 0, 1), (1, 0, 1),
-            (0, 1, 2), (2, 1, 2),
-            (0, 2, 3), (1, 2, 3), (2, 2, 3), (3, 2, 3),
-            (0, 3, 4), (1, 3, 4), (2, 3, 4), (4, 3, 4),
-        ],
-        0,
-        [0, 1, 2, 3, 4],
-    )
-    gens = st.extract_generators(slex, o, ft_bound=2)
+    """The ℤ² extract rebuilt centrally."""
+    gens, o = z2_extract()
     cprime, report = st.build_combing(gens, o, central=True)
     assert fileformat.write(cprime) == Z2_CPRIME
     assert (
@@ -131,3 +144,36 @@ def test_golden_z2():
         report.product_states,
         report.cprime_states,
     ) == (503, 419, 5, 35, 2717, 6)
+
+
+def test_golden_z2_extract():
+    gens, _o = z2_extract()
+    assert (gens.t.n, len(gens.t.edges)) == (251, 752)
+    assert fileformat.write(gens) == Z2_EXTRACT
+
+
+def test_z2_extract_same_in_every_process():
+    """The extract's text must not depend on the process: before Python
+    3.12, hash(None) follows the object's address, so any id that follows
+    the iteration order of a set of edges with epsilon labels would vary."""
+    src = str(Path(combings.__file__).resolve().parents[1])
+    here = str(Path(__file__).resolve().parent)
+    code = (
+        f"import sys; sys.path[:0] = [{src!r}, {here!r}]\n"
+        "from combings import fileformat\n"
+        "from test_golden import z2_extract\n"
+        "sys.stdout.write(fileformat.write(z2_extract()[0]))\n"
+    )
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        outs.append(run.stdout)
+    assert outs == [Z2_EXTRACT, Z2_EXTRACT]

@@ -4,7 +4,15 @@ from combings import LinearLanguage, Word, invert_word, shortlex_key
 from combings import linear as lin
 from combings import nfa as nfa_mod
 from combings import transducer as td
-from bruteforce import pairs_of_transducer, random_transducer, random_word, words_upto
+from bruteforce import (
+    accepts_bf,
+    intersect_regular_per_rectangle,
+    pairs_of_transducer,
+    random_nfa,
+    random_transducer,
+    random_word,
+    words_upto,
+)
 
 
 def _members_bf(t, mode, max_total):
@@ -83,6 +91,35 @@ def test_intersect_regular(rng, ab2):
         got = lin.intersect_regular(l, r)
         want = {w for w in _members_bf(t, "inverse", 5) if w.is_freely_reduced()}
         assert {w for w in lin.enumerate_members(got, 5)} == {w for w in want if len(w) <= 5}
+
+
+def test_intersect_regular_random_nfa(rng, ab2):
+    for mode in lin.MODES:
+        for _ in range(10):
+            t = random_transducer(rng, ab2, max_states=3)
+            r = random_nfa(rng, ab2, max_states=4)
+            got = lin.intersect_regular(LinearLanguage(t, mode), r)
+            assert got.mode == mode
+            want = {w for w in _members_bf(t, mode, 5) if accepts_bf(r, w)}
+            assert set(lin.enumerate_members(got, 5)) == want
+
+
+def test_intersect_regular_matches_per_rectangle(rng, ab2):
+    """The shared product reproduces the per-rectangle construction exactly,
+    numbering included, in both modes and with epsilon edges on both sides."""
+    for mode in lin.MODES:
+        for _ in range(40):
+            t = random_transducer(rng, ab2, max_states=5, eps_frac=0.3)
+            r = random_nfa(rng, ab2, max_states=5, eps_frac=0.25)
+            l = LinearLanguage(t, mode)
+            got = lin.intersect_regular(l, r).t
+            want = intersect_regular_per_rectangle(l, r).t
+            assert (got.n, got.edges, got.initial, got.terminals) == (
+                want.n,
+                want.edges,
+                want.initial,
+                want.terminals,
+            )
 
 
 def test_invert_linear(rng, ab2):

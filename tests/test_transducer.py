@@ -40,6 +40,24 @@ def test_trim_preserves_pairs(rng, ab2):
         assert pairs_of_transducer(td.trim(t), 5) == pairs_of_transducer(t, 5)
 
 
+def test_trim_each_matches_trim(rng, ab2):
+    for _ in range(40):
+        t = random_transducer(rng, ab2, max_states=7)
+        sets = [
+            [q for q in range(t.n) if rng.random() < frac]
+            for frac in (0.0, 0.2, 0.5, 1.0)
+        ]
+        rng.shuffle(sets)
+        got = td._trim_each(t, sets)
+        untrimmed = [Transducer(ab2, t.n, t.edges, t.initial, s) for s in sets]
+        want = [td.trim(u) for u in untrimmed]
+        assert [(g.n, g.edges, g.initial, g.terminals) for g in got] == [
+            (w.n, w.edges, w.initial, w.terminals) for w in want
+        ]
+        for g, u in zip(got, untrimmed):
+            assert pairs_of_transducer(g, 4) == pairs_of_transducer(u, 4)
+
+
 def test_union_concat(rng, ab2):
     for _ in range(15):
         a = random_transducer(rng, ab2, max_states=3)
