@@ -20,6 +20,11 @@ from .words import Alphabet
 
 Parsed = Union[Nfa, Transducer, LinearLanguage, GroupOracle]
 
+# The largest state count a file may declare.  Constructions that take an
+# automaton allocate per state before they read a single edge, so a count
+# far beyond any edge list is refused here, where the line is known.
+MAX_STATES = 10_000_000
+
 
 class FormatError(ValueError):
     def __init__(self, lineno: int, msg: str):
@@ -96,6 +101,8 @@ def _parse_machine(cur: _Cursor, alphabet: Alphabet, nlabels: int):
     n = _int(lineno, toks[1], "state count")
     if n <= 0:
         raise FormatError(lineno, "state count must be positive")
+    if n > MAX_STATES:
+        raise FormatError(lineno, f"state count {n} exceeds the limit {MAX_STATES}")
 
     lineno, toks = cur.take()
     if len(toks) != 2 or toks[0] != "initial":

@@ -89,15 +89,14 @@ def intersect_regular(l: LinearLanguage, r: Nfa) -> LinearLanguage:
     Y_p' is the reversed r with terminal p, so all rectangles share one
     product: its states (t-state, r-state, r'-state) are built once, and
     rectangle p is that product trimmed to the terminals (t-terminal, p, p).
+    The shared product holds only the states that can still reach one of
+    those terminals (see _rectangle_product); every state a trim keeps is
+    among them, in the same relative order, so the trims number it alike.
     """
     if l.t.alphabet != r.alphabet:
         raise ValueError("different alphabets")
     r = nfa_mod.trim(r)
-    y_side = nfa_mod.inverse_lang(r) if l.mode == "inverse" else nfa_mod.reverse(r)
-    first, first_keys = td._product_side(l.t, r, 0)
-    split_at = [q if p in l.t.terminals else None for p, q in first_keys]
-    both, keys = td._product_side(first, y_side, 1)
-    del first  # with its adjacency, a third of both's size: free it before the trims
+    both, keys, split_at = _rectangle_product(l.t, r, l.mode)
     term_sets: list[list[int]] = [[] for _ in range(r.n)]
     for i, (f, q) in enumerate(keys):
         if split_at[f] == q:
@@ -107,10 +106,29 @@ def intersect_regular(l: LinearLanguage, r: Nfa) -> LinearLanguage:
         return LinearLanguage(
             Transducer(l.t.alphabet, 1, [], 0, []), l.mode
         )
-    out = parts[0]
-    for p in parts[1:]:
-        out = td.union(out, p)
-    return LinearLanguage(out, l.mode)
+    return LinearLanguage(td.union_all(parts), l.mode)
+
+
+def _rectangle_product(
+    t: Transducer, r: Nfa, mode: str
+) -> tuple[Transducer, list[tuple[int, int]], list[Optional[int]]]:
+    """The product of intersect_regular for a trimmed r, with its keys
+    (first-product state, r'-state) and, per first-product state, the
+    r-state p it splits at when its t-state is terminal (else None).
+
+    The first product restricts tape 0 to r.  The second restricts tape 1
+    of it to r' and is built only on the pairs from which a rectangle
+    terminal (f, p) with split_at[f] == p can be reached, plus the initial
+    pair.  A backward search finds those pairs; since every predecessor of
+    one is one too, the forward search still meets them in the order the
+    full product would number them."""
+    y_side = nfa_mod.inverse_lang(r) if mode == "inverse" else nfa_mod.reverse(r)
+    first, first_keys = td._product_side(t, r, 0)
+    split_at = [q if p in t.terminals else None for p, q in first_keys]
+    targets = [(f, q) for f, q in enumerate(split_at) if q is not None]
+    live = td._coreachable_pairs(first, y_side, 1, targets)
+    both, keys = td._product_side(first, y_side, 1, live)
+    return both, keys, split_at
 
 
 def invert_linear(l: LinearLanguage) -> LinearLanguage:

@@ -121,9 +121,12 @@ def _search(adj: list[list[int]], starts: Iterable[int]) -> set[int]:
 def trim(a: Nfa) -> Nfa:
     """Keep vertices both reachable from the initial vertex and co-reachable
     to some terminal.  The initial vertex always survives, so an automaton
-    with empty language trims to a lone initial vertex with no terminals."""
+    with empty language trims to a lone initial vertex with no terminals.
+    When every vertex is kept, the result is a itself."""
     fwd = _reachable(a.n, a.edges, [a.initial], True)
     bwd = _reachable(a.n, a.edges, a.terminals, False)
+    if len(fwd) == len(bwd) == a.n:
+        return a
     keep = (fwd & bwd) | {a.initial}
     order = sorted(keep)
     remap = {old: new for new, old in enumerate(order)}

@@ -611,10 +611,7 @@ def extract_generators(
         pieces.append(td.concat(rho, tail))
     if not pieces:
         return LinearLanguage(Transducer(alphabet, 1, [], 0, []), "inverse")
-    t = pieces[0]
-    for p in pieces[1:]:
-        t = td.union(t, p)
-    lang = LinearLanguage(td.trim(t), "inverse")
+    lang = LinearLanguage(td.trim(td.union_all(pieces)), "inverse")
     reduced = nfa_mod.freely_reduced_lang(alphabet, include_empty=False)
     return intersect_regular(lang, reduced)
 

@@ -102,13 +102,17 @@ def _trim_each(t: Transducer, term_sets: Iterable[Collection[int]]) -> list[Tran
     initial vertex, so the forward search, the reverse adjacency and the
     forward-reachable edges are computed once; only the backward search
     runs per set.  An edge from a reachable vertex into a co-reachable one
-    has both ends kept, so that is the whole edge filter."""
+    has both ends kept, so that is the whole edge filter.  For the set
+    t.terminals itself, when every vertex is kept, the piece is t."""
     fwd = nfa_mod._reachable(t.n, t.edges, [t.initial], True)
     back = nfa_mod._arrows(t.n, t.edges, False)
     fwd_edges = [e for e in t.edges if e[0] in fwd]
     out = []
     for terms in term_sets:
         bwd = nfa_mod._search(back, terms)
+        if terms is t.terminals and len(fwd) == len(bwd) == t.n:
+            out.append(t)
+            continue
         keep = (fwd & bwd) | {t.initial}
         order = sorted(keep)
         remap = {old: new for new, old in enumerate(order)}
@@ -128,6 +132,37 @@ def union(a: Transducer, b: Transducer) -> Transducer:
     edges.extend((off + s, lab, off + d) for s, lab, d in b.edges)
     terms = [1 + x for x in a.terminals] + [off + x for x in b.terminals]
     return Transducer(a.alphabet, 1 + a.n + b.n, edges, 0, terms)
+
+
+def union_all(parts: list[Transducer]) -> Transducer:
+    """The left fold of union over parts, built in one pass with the same
+    ids.  The fold of k parts opens with the chain of its k-1 roots: root j
+    (the root of the fold of the first k-j parts) has ε edges to root j+1,
+    or to the first part when j = k-2, and to part k-1-j.  The parts follow
+    in order, each at k-1 plus the sizes of the parts before it."""
+    if not parts:
+        raise ValueError("union_all needs at least one transducer")
+    alphabet = parts[0].alphabet
+    if any(p.alphabet != alphabet for p in parts):
+        raise ValueError("transducers over different alphabets")
+    if len(parts) == 1:
+        return parts[0]
+    k = len(parts)
+    offs = [k - 1]
+    for p in parts[:-1]:
+        offs.append(offs[-1] + p.n)
+    eps: Label = (None, None)
+    edges: list[TEdge] = []
+    for j in range(k - 1):
+        nxt = j + 1 if j < k - 2 else offs[0] + parts[0].initial
+        last = k - 1 - j
+        edges.append((j, eps, nxt))
+        edges.append((j, eps, offs[last] + parts[last].initial))
+    terms: list[int] = []
+    for off, p in zip(offs, parts):
+        edges.extend((off + s, lab, off + d) for s, lab, d in p.edges)
+        terms.extend(off + x for x in p.terminals)
+    return Transducer(alphabet, offs[-1] + parts[-1].n, edges, 0, terms)
 
 
 def concat(a: Transducer, b: Transducer) -> Transducer:
@@ -157,10 +192,7 @@ def from_pairs(alphabet: Alphabet, pairs: Iterable[tuple[Word, Word]]) -> Transd
         parts.append(Transducer(alphabet, m + 1, edges, 0, [m]))
     if not parts:
         return Transducer(alphabet, 1, [], 0, [])
-    out = parts[0]
-    for p in parts[1:]:
-        out = union(out, p)
-    return out
+    return union_all(parts)
 
 
 def project(t: Transducer, coordinate: str) -> Nfa:
@@ -173,7 +205,10 @@ def project(t: Transducer, coordinate: str) -> Nfa:
 
 
 def _product_side(
-    t: Transducer, r: Nfa, side: int
+    t: Transducer,
+    r: Nfa,
+    side: int,
+    _allowed: Optional[Collection[tuple[int, int]]] = None,
 ) -> tuple[Transducer, list[tuple[int, int]]]:
     """Restrict tape `side` (0 or 1) of t to the language of r.
 
@@ -182,7 +217,9 @@ def _product_side(
     in place (the loop trick: r is padded with epsilon loops at every
     vertex); r's own epsilon edges advance alone under an (ε,ε) label.
     Both adjacencies are walked in sorted label order, so the ids do not
-    depend on the iteration order of the edge sets.
+    depend on the iteration order of the edge sets.  With `_allowed`, only
+    the initial pair and the pairs in it are created, and edges into any
+    other pair are dropped.
     """
     if t.alphabet != r.alphabet:
         raise ValueError("different alphabets")
@@ -192,28 +229,64 @@ def _product_side(
     keys: list[tuple[int, int]] = []
     edges: list[TEdge] = []
 
-    def sid(p: int, q: int) -> int:
+    def add(me: int, lab: Label, p: int, q: int) -> None:
         key = (p, q)
-        if key not in ids:
-            ids[key] = len(keys)
+        d = ids.get(key)
+        if d is None:
+            if _allowed is not None and key not in _allowed:
+                return
+            d = ids[key] = len(keys)
             keys.append(key)
-        return ids[key]
+        edges.append((me, lab, d))
 
-    start = sid(t.initial, r.initial)
+    start = (t.initial, r.initial)
+    ids[start] = 0
+    keys.append(start)
     for me, (p, q) in enumerate(keys):
         for lab, p2 in tadj[p]:
             x = lab[side]
             if x is None:
-                edges.append((me, lab, sid(p2, q)))
+                add(me, lab, p2, q)
             else:
                 for rl, q2 in radj[q]:
                     if rl == x:
-                        edges.append((me, lab, sid(p2, q2)))
+                        add(me, lab, p2, q2)
         for rl, q2 in radj[q]:
             if rl is None:
-                edges.append((me, (None, None), sid(p, q2)))
+                add(me, (None, None), p, q2)
     terms = [i for i, (p, q) in enumerate(keys) if p in t.terminals and q in r.terminals]
-    return Transducer(t.alphabet, len(keys), edges, start, terms), keys
+    return Transducer(t.alphabet, len(keys), edges, 0, terms), keys
+
+
+def _coreachable_pairs(
+    t: Transducer, r: Nfa, side: int, targets: Iterable[tuple[int, int]]
+) -> set[tuple[int, int]]:
+    """The pairs (t-state, r-state) of the product _product_side(t, r, side)
+    would build, reachable or not, from which some pair in targets can be
+    reached: a backward search over the same three moves, read in reverse.
+    Every predecessor of such a pair is such a pair too."""
+    tback: list[list[tuple[Optional[int], int]]] = [[] for _ in range(t.n)]
+    for p, lab, p2 in t.edges:
+        tback[p2].append((lab[side], p))
+    rback: list[dict[Optional[int], list[int]]] = [{} for _ in range(r.n)]
+    for q, x, q2 in r.edges:
+        rback[q2].setdefault(x, []).append(q)
+    seen = set(targets)
+    stack = list(seen)
+    while stack:
+        p2, q2 = stack.pop()
+        into = rback[q2]
+        prev = [(p2, q) for q in into.get(None, ())]
+        for x, p in tback[p2]:
+            if x is None:
+                prev.append((p, q2))
+            else:
+                prev.extend((p, q) for q in into.get(x, ()))
+        for key in prev:
+            if key not in seen:
+                seen.add(key)
+                stack.append(key)
+    return seen
 
 
 def _num(x: Optional[int]) -> int:
@@ -238,12 +311,17 @@ def identity_of(r: Nfa) -> Transducer:
 def strip_epsilon_cycles(t: Transducer) -> Transducer:
     """Collapse every cycle of (ε,ε) edges to a single vertex and drop the
     cycle edges.  The set of labels of successful paths is unchanged; the
-    merged vertex is initial/terminal if any member was."""
+    merged vertex is initial/terminal if any member was.  Without such a
+    cycle, the result is t itself."""
     eps_adj: list[list[int]] = [[] for _ in range(t.n)]
+    loops = False
     for s, lab, d in t.edges:
         if lab == (None, None):
             eps_adj[s].append(d)
+            loops = loops or s == d
     comp = _scc(t.n, eps_adj)
+    if not loops and len(set(comp)) == t.n:
+        return t
     # component representative = min old id, for determinism
     rep_of_comp: dict[int, int] = {}
     for v in range(t.n):

@@ -6,6 +6,7 @@ set algebra.  None of the library's composite algorithms are in the loop,
 so agreement on bounded languages is meaningful evidence.
 """
 
+import functools
 from itertools import product
 
 from combings import LinearLanguage, Nfa, Transducer, Word
@@ -205,10 +206,78 @@ def intersect_regular_per_rectangle(l: LinearLanguage, r: Nfa) -> LinearLanguage
             parts.append(piece)
     if not parts:
         return LinearLanguage(Transducer(l.t.alphabet, 1, [], 0, []), l.mode)
-    out = parts[0]
-    for p in parts[1:]:
-        out = td.union(out, p)
-    return LinearLanguage(out, l.mode)
+    return LinearLanguage(union_fold(parts), l.mode)
+
+
+def union_fold(parts):
+    """The pairwise left fold of td.union: the numbering td.union_all must
+    reproduce."""
+    return functools.reduce(td.union, parts)
+
+
+def trim_fresh(a):
+    """trim by the definition, always building a new automaton: the
+    vertices reachable from the initial one and co-reachable to a terminal,
+    and the initial one, renumbered in increasing order."""
+    succ, pred = {}, {}
+    for s, _lab, d in a.edges:
+        succ.setdefault(s, []).append(d)
+        pred.setdefault(d, []).append(s)
+    useful = _closure(succ, {a.initial}) & _closure(pred, a.terminals)
+    order = sorted(useful | {a.initial})
+    remap = {old: new for new, old in enumerate(order)}
+    edges = [(remap[s], lab, remap[d]) for s, lab, d in a.edges if s in useful and d in useful]
+    terms = [remap[x] for x in a.terminals if x in useful]
+    return type(a)(a.alphabet, len(order), edges, remap[a.initial], terms)
+
+
+def strip_epsilon_cycles_fresh(t):
+    """strip_epsilon_cycles by the definition: vertices that reach each
+    other by (ε,ε) edges merge into the least of them, and the (ε,ε) edges
+    inside a merged class, self-loops included, are dropped."""
+    eps = {}
+    for s, lab, d in t.edges:
+        if lab == (None, None):
+            eps.setdefault(s, []).append(d)
+    reach = [_closure(eps, {v}) for v in range(t.n)]
+    rep = [min(w for w in reach[v] if v in reach[w]) for v in range(t.n)]
+    order = sorted(set(rep))
+    remap = {old: new for new, old in enumerate(order)}
+    edges = {
+        (remap[rep[s]], lab, remap[rep[d]])
+        for s, lab, d in t.edges
+        if not (lab == (None, None) and rep[s] == rep[d])
+    }
+    terms = {remap[rep[x]] for x in t.terminals}
+    return Transducer(t.alphabet, len(order), edges, remap[rep[t.initial]], terms)
+
+
+def rectangle_product_unpruned(t, r, mode):
+    """The shared rectangle product of intersect_regular for a trimmed r,
+    built in full with _product_side and then cut to the states that reach
+    a rectangle terminal, plus the initial state.  A rectangle terminal is
+    a state (f, q) whose first-product state f pairs a terminal t-state
+    with the r-state q.  Returns the kept keys in id order, the edges
+    between kept states renumbered by that order, and the initial id."""
+    y_side = nfa_mod.inverse_lang(r) if mode == "inverse" else nfa_mod.reverse(r)
+    first, first_keys = td._product_side(t, r, 0)
+    both, keys = td._product_side(first, y_side, 1)
+    targets = {
+        i
+        for i, (f, q) in enumerate(keys)
+        if first_keys[f][0] in t.terminals and first_keys[f][1] == q
+    }
+    pred = {}
+    for s, _lab, d in both.edges:
+        pred.setdefault(d, []).append(s)
+    order = sorted(_closure(pred, targets) | {both.initial})
+    remap = {old: new for new, old in enumerate(order)}
+    edges = {
+        (remap[s], lab, remap[d])
+        for s, lab, d in both.edges
+        if s in remap and d in remap
+    }
+    return [keys[i] for i in order], edges, remap[both.initial]
 
 
 def concat_sets(xs, ys, maxlen):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from combings import (
@@ -129,6 +131,25 @@ def test_error_reports_line_numbers():
     with pytest.raises(ff.FormatError) as err:
         ff.parse(base + "nfa\nstates one\n")
     assert err.value.lineno == 4
+
+
+def test_absurd_state_count_rejected():
+    """A state count beyond MAX_STATES fails on its own line, before
+    anything is allocated per state."""
+    base = "alphabet a A\ninverse a A\n"
+    for kind, edge in (("nfa", "edge 0 a 0"), ("transducer", "edge 0 a - 0")):
+        text = base + f"{kind}\nstates 1000000000000\ninitial 0\nfinal 0\n{edge}\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ff.FormatError) as err:
+                ff.parse(text)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert err.value.lineno == 4
+        assert peak < 1_000_000
+    at_limit = f"nfa\nstates {ff.MAX_STATES}\ninitial 0\nfinal 0\n"
+    assert ff.parse(base + at_limit).n == ff.MAX_STATES
 
 
 def test_error_on_bad_oracle_bodies():

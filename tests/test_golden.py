@@ -1,7 +1,8 @@
 """Golden builds: the canonical text of C' for the ℤ, ℤ/3 and ℤ² round trips,
-and of the ℤ² extract, fixed so that a faster construction must reproduce
-it byte for byte."""
+and of the ℤ² and ℤ³ extracts, fixed so that a faster construction must
+reproduce it byte for byte."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -101,6 +102,27 @@ def z2_extract():
     return st.extract_generators(slex, o, ft_bound=2), o
 
 
+# sha256 of fileformat.write of the ℤ³ extract, 1226 states and 4299 edges
+Z3_EXTRACT_SHA256 = "850e79a9e3110fcb9ff0bbdda2be3c6e55c9d6dc7c2e453fe94306202ecadf88"
+
+
+def z3_extract():
+    """The shortlex combing of ℤ³ under a < A < b < B < c < C (each power
+    spelled by one letter, generators in order), extracted at ft_bound 2."""
+    ab = Alphabet.from_pairs([("a", "A"), ("b", "B"), ("c", "C")])
+    o = AbelianOracle(ab, 3, {"a": [1, 0, 0], "b": [0, 1, 0], "c": [0, 0, 1]})
+    edges = []
+    for i in range(6):
+        edges.append((0, i, 1 + i))
+        edges.extend((1 + i, j, 1 + j) for j in range(6) if j == i or j // 2 > i // 2)
+    slex = Nfa(ab, 7, edges, 0, range(7))
+    return st.extract_generators(slex, o, ft_bound=2), o
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def test_golden_z():
     """The README session: the conjugates of b under a -> 1, b -> 0."""
     ab = AB2
@@ -152,17 +174,25 @@ def test_golden_z2_extract():
     assert fileformat.write(gens) == Z2_EXTRACT
 
 
+def test_golden_z3_extract():
+    gens, _o = z3_extract()
+    assert (gens.t.n, len(gens.t.edges)) == (1226, 4299)
+    assert _sha256(fileformat.write(gens)) == Z3_EXTRACT_SHA256
+
+
 def test_z2_extract_same_in_every_process():
-    """The extract's text must not depend on the process: before Python
+    """The extracts' texts must not depend on the process: before Python
     3.12, hash(None) follows the object's address, so any id that follows
-    the iteration order of a set of edges with epsilon labels would vary."""
+    the iteration order of a set of edges with epsilon labels would vary.
+    Each process prints the ℤ² extract and the digest of the ℤ³ one."""
     src = str(Path(combings.__file__).resolve().parents[1])
     here = str(Path(__file__).resolve().parent)
     code = (
         f"import sys; sys.path[:0] = [{src!r}, {here!r}]\n"
         "from combings import fileformat\n"
-        "from test_golden import z2_extract\n"
+        "from test_golden import _sha256, z2_extract, z3_extract\n"
         "sys.stdout.write(fileformat.write(z2_extract()[0]))\n"
+        "sys.stdout.write(_sha256(fileformat.write(z3_extract()[0])))\n"
     )
     outs = []
     for seed in ("0", "1"):
@@ -176,4 +206,4 @@ def test_z2_extract_same_in_every_process():
             timeout=120,
         )
         outs.append(run.stdout)
-    assert outs == [Z2_EXTRACT, Z2_EXTRACT]
+    assert outs == [Z2_EXTRACT + Z3_EXTRACT_SHA256] * 2

@@ -11,6 +11,7 @@ from bruteforce import (
     random_nfa,
     random_transducer,
     random_word,
+    rectangle_product_unpruned,
     words_upto,
 )
 
@@ -119,6 +120,24 @@ def test_intersect_regular_matches_per_rectangle(rng, ab2):
                 want.edges,
                 want.initial,
                 want.terminals,
+            )
+
+
+def test_rectangle_product_is_the_pruned_full_product(rng, ab2):
+    """The pruned rectangle product holds exactly the states of the full one
+    that reach a rectangle terminal, plus the initial state, in the full
+    product's relative order and with its edges between them."""
+    for mode in lin.MODES:
+        for _ in range(40):
+            t = random_transducer(rng, ab2, max_states=5, eps_frac=0.3)
+            r = nfa_mod.trim(random_nfa(rng, ab2, max_states=5, eps_frac=0.25))
+            both, keys, _split_at = lin._rectangle_product(t, r, mode)
+            want_keys, want_edges, want_initial = rectangle_product_unpruned(t, r, mode)
+            assert keys == want_keys
+            assert (both.n, both.edges, both.initial) == (
+                len(want_keys),
+                want_edges,
+                want_initial,
             )
 
 

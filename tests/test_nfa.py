@@ -10,6 +10,7 @@ from bruteforce import (
     random_nfa,
     random_word,
     reverse_set,
+    trim_fresh,
     words_upto,
 )
 
@@ -47,6 +48,23 @@ def test_trim(rng, ab2):
     dead = Nfa(ab2, 3, [(0, 0, 1), (2, 1, 1)], 0, [1])
     t = nfa_mod.trim(dead)
     assert t.n == 2
+
+
+def test_trim_keeps_trimmed_input(rng, ab2):
+    """trim returns its input when it would cut nothing, and otherwise
+    builds what the definition gives."""
+    for _ in range(60):
+        a = random_nfa(rng, ab2)
+        t = nfa_mod.trim(a)
+        want = trim_fresh(a)
+        assert (t.n, t.edges, t.initial, t.terminals) == (
+            want.n,
+            want.edges,
+            want.initial,
+            want.terminals,
+        )
+        if t.terminals:
+            assert nfa_mod.trim(t) is t
 
 
 def test_trim_empty_language(ab2):

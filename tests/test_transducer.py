@@ -11,6 +11,9 @@ from bruteforce import (
     random_nfa,
     random_transducer,
     random_word,
+    strip_epsilon_cycles_fresh,
+    trim_fresh,
+    union_fold,
 )
 
 
@@ -71,6 +74,46 @@ def test_union_concat(rng, ab2):
                 if len(u1) + len(v1) + len(u2) + len(v2) <= 4:
                     want.add((u1 + u2, v1 + v2))
         assert got == want
+
+
+def test_union_all_matches_fold(rng, ab2):
+    for k in range(1, 7):
+        for _ in range(8):
+            parts = []
+            for _ in range(k):
+                t = random_transducer(rng, ab2, max_states=4)
+                initial = rng.randrange(t.n)  # random_transducer starts at 0
+                parts.append(Transducer(ab2, t.n, t.edges, initial, t.terminals))
+            got = td.union_all(parts)
+            want = union_fold(parts)
+            assert (got.n, got.edges, got.initial, got.terminals) == (
+                want.n,
+                want.edges,
+                want.initial,
+                want.terminals,
+            )
+    with pytest.raises(ValueError):
+        td.union_all([])
+
+
+def test_trim_and_strip_keep_unchanged_input(rng, ab2):
+    """trim and strip_epsilon_cycles return their input when they would cut
+    or merge nothing, and otherwise build what the definition gives."""
+    for _ in range(60):
+        t = random_transducer(rng, ab2, eps_frac=0.45)
+        for op, fresh in ((td.trim, trim_fresh), (td.strip_epsilon_cycles, strip_epsilon_cycles_fresh)):
+            got = op(t)
+            want = fresh(t)
+            assert (got.n, got.edges, got.initial, got.terminals) == (
+                want.n,
+                want.edges,
+                want.initial,
+                want.terminals,
+            )
+        done = td.trim(td.strip_epsilon_cycles(td.trim(t)))
+        if done.terminals:
+            assert td.trim(done) is done
+            assert td.strip_epsilon_cycles(done) is done
 
 
 def test_from_pairs(ab2):
