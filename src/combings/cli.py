@@ -60,13 +60,9 @@ def _run_aut(args) -> int:
     if op in ("union", "concat"):
         a = parse_file(args.inputs[0])
         b = parse_file(args.inputs[1])
-        if isinstance(a, Nfa) and isinstance(b, Nfa):
-            mod = nfa_mod
-        elif isinstance(a, Transducer) and isinstance(b, Transducer):
-            mod = td
-        else:
+        if type(a) is not type(b) or not isinstance(a, (Nfa, Transducer)):
             raise UsageError("union/concat take two nfa files or two transducer files")
-        _emit(getattr(mod, op)(a, b), args.out)
+        _emit(getattr(nfa_mod, op)(a, b), args.out)
         return 0
     if op == "reverse":
         a = _load(args.inputs[0], Nfa, "an nfa")
@@ -74,12 +70,9 @@ def _run_aut(args) -> int:
         return 0
     if op == "trim":
         a = parse_file(args.inputs[0])
-        if isinstance(a, Nfa):
-            _emit(nfa_mod.trim(a), args.out)
-        elif isinstance(a, Transducer):
-            _emit(td.trim(a), args.out)
-        else:
+        if not isinstance(a, (Nfa, Transducer)):
             raise UsageError("trim takes an nfa or transducer file")
+        _emit(nfa_mod.trim(a), args.out)
         return 0
     if op == "split":
         a = _load(args.inputs[0], Nfa, "an nfa")

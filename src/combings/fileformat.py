@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Union
 
 from .linear import LinearLanguage
-from .nfa import Nfa, renumber_bfs
+from .nfa import Nfa, _sorted_adjacency, renumber_bfs
 from .oracle import AbelianOracle, FiniteOracle, FreeOracle, GroupOracle
 from .transducer import Transducer
 from .words import Alphabet
@@ -223,63 +223,23 @@ def _alphabet_lines(alphabet: Alphabet) -> list[str]:
     return lines
 
 
-def _sym(alphabet: Alphabet, lab) -> str:
-    return "-" if lab is None else alphabet.symbols[lab]
-
-
-def write_nfa(a: Nfa) -> str:
+def _write_machine(a: Union[Nfa, Transducer], kind_line: str) -> str:
     a = renumber_bfs(a)
+    syms = a.alphabet.symbols
     lines = _alphabet_lines(a.alphabet)
-    lines.append("nfa")
+    lines.append(kind_line)
     lines.append(f"states {a.n}")
     lines.append(f"initial {a.initial}")
     lines.append("final " + " ".join(str(t) for t in sorted(a.terminals)))
-    for s, x, d in sorted(a.edges, key=lambda e: (e[0], -1 if e[1] is None else e[1], e[2])):
-        lines.append(f"edge {s} {_sym(a.alphabet, x)} {d}")
+    text = {}
+    for lab in {e[1] for e in a.edges}:
+        tapes = lab if isinstance(a, Transducer) else (lab,)
+        text[lab] = " ".join("-" if x is None else syms[x] for x in tapes)
+    # edges by source, then label key, then target
+    for s, row in enumerate(_sorted_adjacency(a)):
+        for _key, d, lab in row:
+            lines.append(f"edge {s} {text[lab]} {d}")
     return "\n".join(lines).rstrip() + "\n"
-
-
-def _transducer_body(t: Transducer, kind_line: str) -> str:
-    lines = _alphabet_lines(t.alphabet)
-    lines.append(kind_line)
-    lines.append(f"states {t.n}")
-    lines.append(f"initial {t.initial}")
-    lines.append("final " + " ".join(str(x) for x in sorted(t.terminals)))
-    def key(e):
-        s, (x, y), d = e
-        return (s, -1 if x is None else x, -1 if y is None else y, d)
-    for s, (x, y), d in sorted(t.edges, key=key):
-        lines.append(f"edge {s} {_sym(t.alphabet, x)} {_sym(t.alphabet, y)} {d}")
-    return "\n".join(lines).rstrip() + "\n"
-
-
-def write_transducer(t: Transducer) -> str:
-    return _transducer_body(_renumber_transducer(t), "transducer")
-
-
-def write_linear(l: LinearLanguage) -> str:
-    return _transducer_body(_renumber_transducer(l.t), f"linear {l.mode}")
-
-
-def _renumber_transducer(t: Transducer) -> Transducer:
-    """Breadth-first canonical order, like nfa.renumber_bfs."""
-    adj: list[list[tuple]] = [[] for _ in range(t.n)]
-    for s, (x, y), d in t.edges:
-        adj[s].append((-1 if x is None else x, -1 if y is None else y, d))
-    order: list[int] = []
-    seen = {t.initial}
-    queue = [t.initial]
-    while queue:
-        p = queue.pop(0)
-        order.append(p)
-        for _x, _y, q in sorted(adj[p]):
-            if q not in seen:
-                seen.add(q)
-                queue.append(q)
-    order.extend(p for p in range(t.n) if p not in seen)
-    remap = {old: new for new, old in enumerate(order)}
-    edges = [(remap[s], lab, remap[d]) for s, lab, d in t.edges]
-    return Transducer(t.alphabet, t.n, edges, remap[t.initial], [remap[x] for x in t.terminals])
 
 
 def write_oracle(o: GroupOracle) -> str:
@@ -308,11 +268,11 @@ def write_oracle(o: GroupOracle) -> str:
 
 def write(obj: Parsed) -> str:
     if isinstance(obj, Nfa):
-        return write_nfa(obj)
+        return _write_machine(obj, "nfa")
     if isinstance(obj, LinearLanguage):
-        return write_linear(obj)
+        return _write_machine(obj.t, f"linear {obj.mode}")
     if isinstance(obj, Transducer):
-        return write_transducer(obj)
+        return _write_machine(obj, "transducer")
     if isinstance(obj, GroupOracle):
         return write_oracle(obj)
     raise ValueError(f"cannot serialize {obj!r}")

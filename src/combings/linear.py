@@ -7,14 +7,13 @@ are the concatenated words as written, with no free reduction applied.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
 from . import nfa as nfa_mod
 from . import transducer as td
 from .nfa import Nfa
 from .transducer import Transducer
-from .words import Word
+from .words import Word, invert_word, shortlex_key
 
 MODES = ("inverse", "reversal")
 
@@ -33,49 +32,11 @@ class LinearLanguage:
 
 
 def member(l: LinearLanguage, w: Word) -> bool:
-    """Membership by a two-ended scan: states (i, j, q) mean the first tape
-    has consumed w[:i] and the second tape accounts for w[j:], read from the
-    right (inverted letters in inverse mode, plain letters in reversal mode).
-    Any split i == j at a terminal state accepts."""
-    t = l.t
-    if w.alphabet != t.alphabet:
-        raise ValueError("word over a different alphabet")
-    inv = t.alphabet.inv
-    inverse_mode = l.mode == "inverse"
-    n = len(w)
-    adj = t.adjacency()
-    start = (0, n, t.initial)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        i, j, p = queue.popleft()
-        if i == j and p in t.terminals:
-            return True
-        for (x, y), q in adj[p]:
-            i2 = i
-            if x is not None:
-                if i >= j or w.indices[i] != x:
-                    continue
-                i2 = i + 1
-            j2 = j
-            if y is not None:
-                want = inv[y] if inverse_mode else y
-                if j2 <= i2 or w.indices[j2 - 1] != want:
-                    continue
-                j2 = j2 - 1
-            nxt = (i2, j2, q)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
-
-
-def combine_linear(op: str, a: LinearLanguage, b: LinearLanguage) -> LinearLanguage:
-    if a.mode != b.mode:
-        raise ValueError("cannot combine linear languages of different modes")
-    if op == "union":
-        return LinearLanguage(td.union(a.t, b.t), a.mode)
-    raise ValueError(f"unsupported linear combination {op!r}")
+    """Membership: w = u·v⁻¹ (or u·vʳ) for an accepted pair exactly when some
+    successful path reads a prefix of w on the first tape and a prefix of
+    w⁻¹ (or wʳ) on the second, |w| letters in all."""
+    v = invert_word(w) if l.mode == "inverse" else w[::-1]
+    return td._pair_path(l.t, w, v, len(w)) is not None
 
 
 def intersect_regular(l: LinearLanguage, r: Nfa) -> LinearLanguage:
@@ -101,12 +62,12 @@ def intersect_regular(l: LinearLanguage, r: Nfa) -> LinearLanguage:
     for i, (f, q) in enumerate(keys):
         if split_at[f] == q:
             term_sets[q].append(i)
-    parts = [p for p in td._trim_each(both, term_sets) if p.terminals]
+    parts = [p for p in nfa_mod._trim_each(both, term_sets) if p.terminals]
     if not parts:
         return LinearLanguage(
             Transducer(l.t.alphabet, 1, [], 0, []), l.mode
         )
-    return LinearLanguage(td.union_all(parts), l.mode)
+    return LinearLanguage(nfa_mod.union_all(parts), l.mode)
 
 
 def _rectangle_product(
@@ -139,7 +100,7 @@ def invert_linear(l: LinearLanguage) -> LinearLanguage:
     """
     if l.mode != "inverse":
         raise ValueError("inversion is defined for the u·v⁻¹ convention only")
-    swapped = td.relabel(l.t, lambda lab: (lab[1], lab[0]))
+    swapped = nfa_mod.relabel(l.t, lambda lab: (lab[1], lab[0]))
     return LinearLanguage(swapped, "inverse")
 
 
@@ -151,7 +112,7 @@ def convert_mode(l: LinearLanguage, mode: str) -> LinearLanguage:
     if mode == l.mode:
         return l
     inv = l.t.alphabet.inverse_index
-    flipped = td.relabel(
+    flipped = nfa_mod.relabel(
         l.t, lambda lab: (lab[0], None if lab[1] is None else inv(lab[1]))
     )
     return LinearLanguage(flipped, mode)
@@ -160,13 +121,11 @@ def convert_mode(l: LinearLanguage, mode: str) -> LinearLanguage:
 def enumerate_members(l: LinearLanguage, maxlen: int) -> list[Word]:
     """All members of length <= maxlen, shortlex sorted, duplicates removed.
     A member's length is |u| + |v|, so bounded pair enumeration is exact."""
-    from .words import invert_word, shortlex_key
-
     seen: set[Word] = set()
     for u, v in td.enumerate_pairs(l.t, maxlen):
         if l.mode == "inverse":
             w = u + invert_word(v)
         else:
-            w = u + Word(v.alphabet, tuple(reversed(v.indices)))
+            w = u + v[::-1]
         seen.add(w)
     return sorted(seen, key=shortlex_key)

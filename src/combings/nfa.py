@@ -1,37 +1,49 @@
-"""Nondeterministic finite automata over an inverse-closed alphabet.
+"""Finite automata over an inverse-closed alphabet: the shared core.
 
-Conventions, shared with the transducer module: a single initial vertex,
-any set of terminal vertices, epsilon edges allowed (label None).  Vertex
-ids are dense integers 0..n-1; fresh ids are allocated monotonically by
-the combining constructions.  Automata are immutable once built, so they
-are safe to share; every operation returns a new automaton.
+An automaton has a single initial vertex, any set of terminal vertices and
+labelled edges (src, label, dst) over dense vertex ids 0..n-1.  Nfa labels
+are letter indices; transducer labels are pairs of them (transducer
+module).  Either way one label, None or (None, None), is epsilon.  The
+operations that ignore what a label means (trim, union, concatenation,
+relabelling, breadth-first renumbering) are written once here against
+Automaton and build the input's own class.  Fresh ids are allocated
+monotonically by the combining constructions.  Automata are immutable once
+built, so they are safe to share; every operation returns a new automaton.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional
+from typing import Collection, Hashable, Iterable, Optional, TypeVar
 
 from .words import Alphabet, Word
 
-# An edge is (src, label, dst) with label a letter index or None for epsilon.
+# An edge is (src, label, dst); an Nfa label is a letter index or None.
 Edge = tuple[int, Optional[int], int]
+A = TypeVar("A", bound="Automaton")
 
 
-class Nfa:
+class Automaton:
+    """Vertices, edges and the checks shared by every label kind.  A subclass
+    sets EPS, its epsilon label, and defines the static methods
+    check_label(label, k), which raises ValueError unless the label's
+    letters lie in range(k), and label_key(label), a sort key that puts
+    epsilon first."""
+
     __slots__ = ("alphabet", "n", "edges", "initial", "terminals", "_adj")
+    EPS: Hashable
 
     def __init__(
         self,
         alphabet: Alphabet,
         n: int,
-        edges: Iterable[Edge],
+        edges: Iterable[tuple[int, Hashable, int]],
         initial: int,
         terminals: Iterable[int],
     ):
         self.alphabet = alphabet
         self.n = n
-        self.edges: frozenset[Edge] = frozenset(edges)
+        self.edges = frozenset(edges)
         self.initial = initial
         self.terminals: frozenset[int] = frozenset(terminals)
         self._adj = None
@@ -40,23 +52,41 @@ class Nfa:
         for t in self.terminals:
             if not 0 <= t < n:
                 raise ValueError(f"terminal vertex {t} out of range")
-        k = len(alphabet)
-        for s, x, d in self.edges:
+        for s, lab, d in self.edges:
             if not (0 <= s < n and 0 <= d < n):
-                raise ValueError(f"edge ({s},{x},{d}) out of range")
-            if x is not None and not 0 <= x < k:
-                raise ValueError(f"edge label {x} out of range")
+                raise ValueError(f"edge ({s},{lab},{d}) out of range")
+        k = len(alphabet)
+        # once per distinct label: a large automaton has many edges, few labels
+        for lab in {e[1] for e in self.edges}:
+            self.check_label(lab, k)
 
-    def adjacency(self) -> list[list[tuple[Optional[int], int]]]:
+    def adjacency(self) -> list[list[tuple[Hashable, int]]]:
         if self._adj is None:
-            adj: list[list[tuple[Optional[int], int]]] = [[] for _ in range(self.n)]
-            for s, x, d in self.edges:
-                adj[s].append((x, d))
+            adj: list[list[tuple[Hashable, int]]] = [[] for _ in range(self.n)]
+            for s, lab, d in self.edges:
+                adj[s].append((lab, d))
             self._adj = adj
         return self._adj
 
     def __repr__(self) -> str:
-        return f"Nfa({self.n} states, {len(self.edges)} edges, {len(self.terminals)} final)"
+        return (
+            f"{type(self).__name__}({self.n} states, {len(self.edges)} edges, "
+            f"{len(self.terminals)} final)"
+        )
+
+
+class Nfa(Automaton):
+    __slots__ = ()
+    EPS = None
+
+    @staticmethod
+    def check_label(x: Optional[int], k: int) -> None:
+        if x is not None and not 0 <= x < k:
+            raise ValueError(f"edge label {x} out of range")
+
+    @staticmethod
+    def label_key(x: Optional[int]) -> int:
+        return -1 if x is None else x
 
 
 def eps_closure(a: Nfa, states: Iterable[int]) -> frozenset[int]:
@@ -89,13 +119,9 @@ def accepts(a: Nfa, w: Word) -> bool:
     return bool(cur & a.terminals)
 
 
-def _reachable(n: int, edges: Iterable[Edge], starts: Iterable[int], forward: bool) -> set[int]:
-    return _search(_arrows(n, edges, forward), starts)
-
-
-def _arrows(n: int, edges: Iterable[Edge], forward: bool) -> list[list[int]]:
+def _arrows(n: int, edges: Iterable[tuple], forward: bool) -> list[list[int]]:
     """Successor lists of (src, label, dst) edges, or predecessor lists when
-    not forward; the label is ignored, so transducer edges serve as well."""
+    not forward; the label is ignored."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for s, _x, d in edges:
         if forward:
@@ -118,25 +144,37 @@ def _search(adj: list[list[int]], starts: Iterable[int]) -> set[int]:
     return seen
 
 
-def trim(a: Nfa) -> Nfa:
+def trim(a: A) -> A:
     """Keep vertices both reachable from the initial vertex and co-reachable
     to some terminal.  The initial vertex always survives, so an automaton
     with empty language trims to a lone initial vertex with no terminals.
     When every vertex is kept, the result is a itself."""
-    fwd = _reachable(a.n, a.edges, [a.initial], True)
-    bwd = _reachable(a.n, a.edges, a.terminals, False)
-    if len(fwd) == len(bwd) == a.n:
-        return a
-    keep = (fwd & bwd) | {a.initial}
-    order = sorted(keep)
-    remap = {old: new for new, old in enumerate(order)}
-    edges = [
-        (remap[s], x, remap[d])
-        for s, x, d in a.edges
-        if s in keep and d in keep and s in fwd and d in bwd
-    ]
-    terms = [remap[t] for t in a.terminals if t in keep and t in fwd]
-    return Nfa(a.alphabet, len(order), edges, remap[a.initial], terms)
+    return _trim_each(a, [a.terminals])[0]
+
+
+def _trim_each(a: A, term_sets: Iterable[Collection[int]]) -> list[A]:
+    """trim(a) once per terminal set.  The pieces share a's vertices, edges
+    and initial vertex, so the forward search, the reverse adjacency and
+    the forward-reachable edges are computed once; only the backward search
+    runs per set.  An edge from a reachable vertex into a co-reachable one
+    has both ends kept, so that is the whole edge filter.  For the set
+    a.terminals itself, when every vertex is kept, the piece is a."""
+    fwd = _search(_arrows(a.n, a.edges, True), [a.initial])
+    back = _arrows(a.n, a.edges, False)
+    fwd_edges = [e for e in a.edges if e[0] in fwd]
+    out = []
+    for terms in term_sets:
+        bwd = _search(back, terms)
+        if terms is a.terminals and len(fwd) == len(bwd) == a.n:
+            out.append(a)
+            continue
+        keep = (fwd & bwd) | {a.initial}
+        order = sorted(keep)
+        remap = {old: new for new, old in enumerate(order)}
+        edges = [(remap[s], lab, remap[d]) for s, lab, d in fwd_edges if d in bwd]
+        kept_terms = [remap[x] for x in terms if x in fwd]
+        out.append(type(a)(a.alphabet, len(order), edges, remap[a.initial], kept_terms))
+    return out
 
 
 def is_empty_language(a: Nfa) -> bool:
@@ -156,10 +194,10 @@ def reverse(a: Nfa) -> Nfa:
     return Nfa(a.alphabet, a.n + 1, edges, fresh, [a.initial])
 
 
-def relabel(a: Nfa, mapping) -> Nfa:
-    """Apply a letter-index mapping to every edge label (epsilon untouched)."""
-    edges = [(s, x if x is None else mapping(x), d) for s, x, d in a.edges]
-    return Nfa(a.alphabet, a.n, edges, a.initial, a.terminals)
+def relabel(a: A, mapping) -> A:
+    """Apply a label mapping to every edge label except epsilon."""
+    edges = [(s, lab if lab == a.EPS else mapping(lab), d) for s, lab, d in a.edges]
+    return type(a)(a.alphabet, a.n, edges, a.initial, a.terminals)
 
 
 def inverse_lang(a: Nfa) -> Nfa:
@@ -167,26 +205,56 @@ def inverse_lang(a: Nfa) -> Nfa:
     return relabel(reverse(a), a.alphabet.inverse_index)
 
 
-def union(a: Nfa, b: Nfa) -> Nfa:
-    if a.alphabet != b.alphabet:
+def union(a: A, b: A) -> A:
+    """Accepts what a or b accepts: a fresh initial vertex with ε edges to
+    both initial vertices."""
+    return union_all([a, b])
+
+
+def union_all(parts: list[A]) -> A:
+    """The left fold of union over parts, built in one pass with the same
+    ids.  The fold of k parts opens with the chain of its k-1 roots: root j
+    (the root of the fold of the first k-j parts) has ε edges to root j+1,
+    or to the first part when j = k-2, and to part k-1-j.  The parts follow
+    in order, each at k-1 plus the sizes of the parts before it."""
+    if not parts:
+        raise ValueError("union_all needs at least one automaton")
+    cls, alphabet = type(parts[0]), parts[0].alphabet
+    if any(type(p) is not cls for p in parts):
+        raise ValueError("cannot combine automata of different kinds")
+    if any(p.alphabet != alphabet for p in parts):
         raise ValueError("automata over different alphabets")
-    off = 1 + a.n
-    edges: list[Edge] = [(0, None, 1 + a.initial), (0, None, off + b.initial)]
-    edges.extend((1 + s, x, 1 + d) for s, x, d in a.edges)
-    edges.extend((off + s, x, off + d) for s, x, d in b.edges)
-    terms = [1 + t for t in a.terminals] + [off + t for t in b.terminals]
-    return Nfa(a.alphabet, 1 + a.n + b.n, edges, 0, terms)
+    if len(parts) == 1:
+        return parts[0]
+    k = len(parts)
+    offs = [k - 1]
+    for p in parts[:-1]:
+        offs.append(offs[-1] + p.n)
+    eps = cls.EPS
+    edges: list[tuple] = []
+    for j in range(k - 1):
+        nxt = j + 1 if j < k - 2 else offs[0] + parts[0].initial
+        last = k - 1 - j
+        edges.append((j, eps, nxt))
+        edges.append((j, eps, offs[last] + parts[last].initial))
+    terms: list[int] = []
+    for off, p in zip(offs, parts):
+        edges.extend((off + s, lab, off + d) for s, lab, d in p.edges)
+        terms.extend(off + x for x in p.terminals)
+    return cls(alphabet, offs[-1] + parts[-1].n, edges, 0, terms)
 
 
-def concat(a: Nfa, b: Nfa) -> Nfa:
+def concat(a: A, b: A) -> A:
+    if type(a) is not type(b):
+        raise ValueError("cannot combine automata of different kinds")
     if a.alphabet != b.alphabet:
         raise ValueError("automata over different alphabets")
     off = a.n
-    edges: list[Edge] = list(a.edges)
-    edges.extend((off + s, x, off + d) for s, x, d in b.edges)
-    edges.extend((t, None, off + b.initial) for t in a.terminals)
+    edges = list(a.edges)
+    edges.extend((off + s, lab, off + d) for s, lab, d in b.edges)
+    edges.extend((t, a.EPS, off + b.initial) for t in a.terminals)
     terms = [off + t for t in b.terminals]
-    return Nfa(a.alphabet, a.n + b.n, edges, a.initial, terms)
+    return type(a)(a.alphabet, a.n + b.n, edges, a.initial, terms)
 
 
 def split_decomposition(a: Nfa) -> list[tuple[Nfa, Nfa]]:
@@ -391,21 +459,6 @@ def from_word(alphabet: Alphabet, w: Word) -> Nfa:
     return Nfa(alphabet, len(w) + 1, edges, 0, [len(w)])
 
 
-def from_words(alphabet: Alphabet, words: Iterable[Word]) -> Nfa:
-    out = None
-    for w in words:
-        nxt = from_word(alphabet, w)
-        out = nxt if out is None else union(out, nxt)
-    if out is None:
-        return Nfa(alphabet, 1, [], 0, [])
-    return out
-
-
-def sigma_star(alphabet: Alphabet) -> Nfa:
-    edges = [(0, x, 0) for x in range(len(alphabet))]
-    return Nfa(alphabet, 1, edges, 0, [0])
-
-
 def remove_epsilon(a: Nfa) -> Nfa:
     """Equivalent automaton without epsilon edges (same vertex set)."""
     adj = a.adjacency()
@@ -422,24 +475,36 @@ def remove_epsilon(a: Nfa) -> Nfa:
     return Nfa(a.alphabet, a.n, edges, a.initial, terms)
 
 
-def renumber_bfs(a: Nfa) -> Nfa:
+def _sorted_adjacency(a: Automaton) -> list[list[tuple[Hashable, int, Hashable]]]:
+    """Each vertex's out-edges as (label key, target, label), in increasing
+    order: an order that does not depend on the iteration order of the edge
+    set.  No two triples of a vertex share key and target, so labels are
+    never compared."""
+    key = {lab: a.label_key(lab) for lab in {e[1] for e in a.edges}}
+    rows: list[list[tuple[Hashable, int, Hashable]]] = [[] for _ in range(a.n)]
+    for s, lab, d in a.edges:
+        rows[s].append((key[lab], d, lab))
+    for row in rows:
+        row.sort()
+    return rows
+
+
+def renumber_bfs(a: A) -> A:
     """Canonical renumbering: breadth-first from the initial vertex, edges
-    ordered epsilon first then by letter index then by old target id.
+    ordered epsilon first then by label key then by old target id.
     Unreachable vertices keep their relative order after the reachable part."""
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(a.n)]
-    for s, x, d in a.edges:
-        adj[s].append((-1 if x is None else x, d, d))
+    adj = _sorted_adjacency(a)
     order: list[int] = []
     seen = {a.initial}
     queue = deque([a.initial])
     while queue:
         p = queue.popleft()
         order.append(p)
-        for _key, _d, q in sorted(adj[p]):
+        for _key, q, _lab in adj[p]:
             if q not in seen:
                 seen.add(q)
                 queue.append(q)
     order.extend(p for p in range(a.n) if p not in seen)
     remap = {old: new for new, old in enumerate(order)}
-    edges = [(remap[s], x, remap[d]) for s, x, d in a.edges]
-    return Nfa(a.alphabet, a.n, edges, remap[a.initial], [remap[t] for t in a.terminals])
+    edges = [(remap[s], lab, remap[d]) for s, lab, d in a.edges]
+    return type(a)(a.alphabet, a.n, edges, remap[a.initial], [remap[t] for t in a.terminals])

@@ -1,9 +1,10 @@
 """Group oracles: free, free abelian, and finite groups given by a table.
 
-An oracle maps letters of an inverse-closed alphabet to group elements and
-answers identity, distance and ball queries about the Cayley graph over
-those images.  Elements are small hashable values (reduced tuples, integer
-vectors, table indices), so they can key dictionaries in the searches.
+An oracle maps letters of an inverse-closed alphabet to group elements,
+multiplies and inverts elements, and answers distance and ball queries
+about the Cayley graph over those images.  Elements are small hashable
+values (reduced tuples, integer vectors, table indices), so they can key
+dictionaries in the searches.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Hashable, Optional, Sequence
 
-from .transducer import Transducer
 from .words import Alphabet, Word, invert_word
 
 DEFAULT_BALL_CAP = 200_000
@@ -27,7 +27,6 @@ class GroupOracle:
     """Common interface; concrete behavior lives in the subclasses."""
 
     alphabet: Alphabet
-    kind: str
 
     def identity_element(self) -> Hashable:
         raise NotImplementedError
@@ -44,6 +43,10 @@ class GroupOracle:
     def inv_element(self, e: Hashable) -> Hashable:
         raise NotImplementedError
 
+    def mul(self, e: Hashable, f: Hashable) -> Hashable:
+        """The product e·f of two elements."""
+        raise NotImplementedError
+
     def distance_from_identity(self, e: Hashable, cap: Optional[int] = None) -> Optional[int]:
         raise NotImplementedError
 
@@ -55,14 +58,9 @@ class GroupOracle:
             e = self.mul_right(e, i)
         return e
 
-    def is_identity(self, w: Word) -> bool:
-        return self.element(w) == self.identity_element()
-
 
 class FreeOracle(GroupOracle):
     """The free group on the positive letters; elements are reduced tuples."""
-
-    kind = "free"
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
@@ -87,6 +85,16 @@ class FreeOracle(GroupOracle):
         inv = self.alphabet.inv
         return tuple(inv[i] for i in reversed(e))
 
+    def mul(self, e, f):
+        inv = self.alphabet.inv
+        out = list(e)
+        for i in f:
+            if out and out[-1] == inv[i]:
+                out.pop()
+            else:
+                out.append(i)
+        return tuple(out)
+
     def distance_from_identity(self, e, cap: Optional[int] = None) -> Optional[int]:
         d = len(e)
         if cap is not None and d > cap:
@@ -97,8 +105,6 @@ class FreeOracle(GroupOracle):
 class AbelianOracle(GroupOracle):
     """Free abelian group of a given rank; letters carry integer weight
     vectors, with weight(x^-1) = -weight(x)."""
-
-    kind = "abelian"
 
     def __init__(self, alphabet: Alphabet, rank: int, weights: dict[str, Sequence[int]]):
         self.alphabet = alphabet
@@ -146,6 +152,9 @@ class AbelianOracle(GroupOracle):
     def inv_element(self, e):
         return tuple(-c for c in e)
 
+    def mul(self, e, f):
+        return tuple(a + b for a, b in zip(e, f))
+
     def distance_from_identity(self, e, cap: Optional[int] = None) -> Optional[int]:
         """The word-metric distance, or None past cap.  Unless the L1 norm
         applies, it is read off a cached breadth-first ball, and it is None
@@ -187,8 +196,6 @@ class AbelianOracle(GroupOracle):
 class FiniteOracle(GroupOracle):
     """A finite group by its full multiplication table; element 0 is the
     identity.  table[g][h] = g*h."""
-
-    kind = "finite"
 
     def __init__(self, alphabet: Alphabet, table: Sequence[Sequence[int]], letter_images: dict[str, int]):
         self.alphabet = alphabet
@@ -267,6 +274,9 @@ class FiniteOracle(GroupOracle):
     def inv_element(self, e):
         return self.inverse[e]
 
+    def mul(self, e, f):
+        return self.table[e][f]
+
     def distance_from_identity(self, e, cap: Optional[int] = None) -> Optional[int]:
         d = self._dist.get(e)
         if d is None or (cap is not None and d > cap):
@@ -290,11 +300,6 @@ class CayleyBall:
 
     def __len__(self) -> int:
         return len(self.dist)
-
-    def neighbor(self, e, letter: int):
-        """Right multiplication by a letter, or None if it leaves the ball."""
-        f = self.oracle.mul_right(e, letter)
-        return f if f in self.dist else None
 
 
 def ball(o: GroupOracle, k: int, cap: int = DEFAULT_BALL_CAP) -> CayleyBall:
@@ -335,10 +340,6 @@ def distance(o: GroupOracle, u: Word, v: Word, cap: int = 64) -> Optional[int]:
     return o.distance_from_identity(o.element(invert_word(u) + v), cap)
 
 
-def _dist_or_none(o: GroupOracle, e, cap: int) -> Optional[int]:
-    return o.distance_from_identity(e, cap)
-
-
 def ft_distance(o: GroupOracle, mode: str, u: Word, v: Word, cap: int = 64) -> Optional[int]:
     """Fellow-traveler distance between the paths spelled by u and v.
 
@@ -362,7 +363,7 @@ def ft_distance(o: GroupOracle, mode: str, u: Word, v: Word, cap: int = 64) -> O
                 delta = o.mul_left(inv[u.indices[i]], delta)
             if i < len(v):
                 delta = o.mul_right(delta, v.indices[i])
-            d = _dist_or_none(o, delta, cap)
+            d = o.distance_from_identity(delta, cap)
             if d is None:
                 return None
             worst = max(worst, d)
@@ -383,7 +384,7 @@ def ft_distance(o: GroupOracle, mode: str, u: Word, v: Word, cap: int = 64) -> O
 
     def node_cost(i, j):
         if cost[i][j] is None:
-            cost[i][j] = _dist_or_none(o, delta[i][j], cap)
+            cost[i][j] = o.distance_from_identity(delta[i][j], cap)
         return cost[i][j]
 
     best = [[None] * (nv + 1) for _ in range(nu + 1)]
@@ -410,34 +411,3 @@ def ft_distance(o: GroupOracle, mode: str, u: Word, v: Word, cap: int = 64) -> O
                 best[i2][j2] = nb
                 heapq.heappush(heap, (nb, i2, j2))
     return None
-
-
-def cayley_transducer(o: GroupOracle, target: Word, radius: int, cap: int = DEFAULT_BALL_CAP) -> Transducer:
-    """The Cayley automaton on the radius ball: vertices are elements, and
-    g --(a,b)--> h whenever g·b̄ = ā·h, i.e. h = ā⁻¹·g·b̄.  Paths from the
-    identity labelled (u,v) end at ū⁻¹·v̄, so with the class of the target
-    as the lone terminal the accepted pairs are those with ū⁻¹v̄ = target,
-    complete for pairs that asynchronously fellow-travel within the radius.
-    """
-    b = ball(o, radius, cap)
-    tgt = o.element(target)
-    if tgt not in b:
-        raise ValueError(
-            f"target class lies outside the ball of radius {radius}"
-        )
-    ids = {e: i for i, e in enumerate(b.order)}
-    inv = o.alphabet.inv
-    nletters = len(o.alphabet)
-    edges = []
-    letters = [None] + list(range(nletters))
-    for e in b.order:
-        src = ids[e]
-        for a in letters:
-            ea = e if a is None else o.mul_left(inv[a], e)
-            for bb in letters:
-                if a is None and bb is None:
-                    continue
-                h = ea if bb is None else o.mul_right(ea, bb)
-                if h in ids:
-                    edges.append((src, (a, bb), ids[h]))
-    return Transducer(o.alphabet, len(ids), edges, ids[o.identity_element()], [ids[tgt]])

@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import nfa as nfa_mod
 from . import transducer as td
-from .linear import LinearLanguage, combine_linear, intersect_regular, invert_linear
+from .linear import LinearLanguage, intersect_regular, invert_linear
 from .nfa import Nfa
 from .oracle import CayleyBall, GroupOracle, ball, ft_distance
 from .transducer import Transducer
@@ -350,7 +350,7 @@ def ft_bound_of_combing(
     worst = 0
     for i, (u, _eu) in enumerate(elems):
         for v, ev in elems[i + 1 :]:
-            d = o.distance_from_identity(_mul_elems(o, inverses[i], ev), 1)
+            d = o.distance_from_identity(o.mul(inverses[i], ev), 1)
             if d is None or d > 1:
                 continue
             f = ft_distance(o, mode, u, v, cap)
@@ -370,10 +370,7 @@ def core_subgraph(t: Transducer) -> tuple[frozenset[int], frozenset]:
     core, so every successful path is a core prefix followed by a short
     acyclic tail.
     """
-    adj: list[list[int]] = [[] for _ in range(t.n)]
-    for s, _lab, d in t.edges:
-        adj[s].append(d)
-    comp = td._scc(t.n, adj)
+    comp = td._scc(t.n, nfa_mod._arrows(t.n, t.edges, True))
     sizes: dict[int, int] = {}
     for v in range(t.n):
         sizes[comp[v]] = sizes.get(comp[v], 0) + 1
@@ -382,17 +379,8 @@ def core_subgraph(t: Transducer) -> tuple[frozenset[int], frozenset]:
         if size >= 2:
             cyclic.add(c)
     # vertices that reach a cyclic component, by reverse search
-    radj: list[list[int]] = [[] for _ in range(t.n)]
-    for s, _lab, d in t.edges:
-        radj[d].append(s)
-    core = {v for v in range(t.n) if comp[v] in cyclic}
-    queue = deque(core)
-    while queue:
-        v = queue.popleft()
-        for p in radj[v]:
-            if p not in core:
-                core.add(p)
-                queue.append(p)
+    starts = [v for v in range(t.n) if comp[v] in cyclic]
+    core = nfa_mod._search(nfa_mod._arrows(t.n, t.edges, False), starts)
     edges = frozenset(e for e in t.edges if e[2] in core)
     return frozenset(core), edges
 
@@ -487,7 +475,7 @@ def _tail_data(
             continue
         _fv, fex, fey = fkey
         flx, fly = best[fkey]
-        base = _mul_elems(o, fex, o.inv_element(fey))
+        base = o.mul(fex, o.inv_element(fey))
         # head classes among the ancestors of this accepting state
         cone = {fkey}
         stack = [fkey]
@@ -502,26 +490,8 @@ def _tail_data(
             if ey2 not in heads or ly2 < heads[ey2]:
                 heads[ey2] = ly2
         for hy, lh in heads.items():
-            note(_mul_elems(o, base, hy), flx + fly + lh)
+            note(o.mul(base, hy), flx + fly + lh)
     return classes
-
-
-def _mul_elems(o: GroupOracle, a, b):
-    """Multiply two oracle elements.  Oracles expose letter products only,
-    so this goes through the kind-specific representations."""
-    if o.kind == "free":
-        out = list(a)
-        for i in b:
-            if out and out[-1] == o.alphabet.inv[i]:
-                out.pop()
-            else:
-                out.append(i)
-        return tuple(out)
-    if o.kind == "abelian":
-        return tuple(x + y for x, y in zip(a, b))
-    if o.kind == "finite":
-        return o.table[a][b]
-    raise ValueError(f"unknown oracle kind {o.kind}")
 
 
 # ----------------------------------------------------------------- extraction
@@ -604,14 +574,14 @@ def extract_generators(
             letters.append(a)
             term_sets.append(terms)
     pieces = []
-    for a, rho in zip(letters, td._trim_each(prod, term_sets)):
+    for a, rho in zip(letters, nfa_mod._trim_each(prod, term_sets)):
         if not rho.terminals:
             continue
         tail = td.from_pairs(alphabet, [(Word(alphabet, (a,)), alphabet.empty_word())])
-        pieces.append(td.concat(rho, tail))
+        pieces.append(nfa_mod.concat(rho, tail))
     if not pieces:
         return LinearLanguage(Transducer(alphabet, 1, [], 0, []), "inverse")
-    lang = LinearLanguage(td.trim(td.union_all(pieces)), "inverse")
+    lang = LinearLanguage(td.trim(nfa_mod.union_all(pieces)), "inverse")
     reduced = nfa_mod.freely_reduced_lang(alphabet, include_empty=False)
     return intersect_regular(lang, reduced)
 
@@ -664,45 +634,6 @@ class BuildReport:
         return "\n".join(lines)
 
 
-def _find_accepting_path(t: Transducer, u: Word, v: Word):
-    """One accepting path for the pair (u, v) as a list of edges, or None."""
-    adj = t.adjacency()
-    start = (t.initial, 0, 0)
-    parent: dict = {start: None}
-    queue = deque([start])
-    goal = None
-    while queue:
-        p, i, j = queue.popleft()
-        if p in t.terminals and i == len(u) and j == len(v):
-            goal = (p, i, j)
-            break
-        for (x, y), q in adj[p]:
-            i2 = i
-            if x is not None:
-                if i == len(u) or u.indices[i] != x:
-                    continue
-                i2 = i + 1
-            j2 = j
-            if y is not None:
-                if j == len(v) or v.indices[j] != y:
-                    continue
-                j2 = j + 1
-            nxt = (q, i2, j2)
-            if nxt not in parent:
-                parent[nxt] = ((p, i, j), (p, (x, y), q))
-                queue.append(nxt)
-    if goal is None:
-        return None
-    path = []
-    cur = goal
-    while parent[cur] is not None:
-        prev, edge = parent[cur]
-        path.append(edge)
-        cur = prev
-    path.reverse()
-    return path
-
-
 def _check_upto(t: Transducer, core_e, pairs, marks: dict, limit: int = 60) -> tuple[bool, str]:
     """Sampled check that the edge carrying each significant letter lies
     off-core.  Only the first `limit` pairs are walked; path recovery on a
@@ -712,7 +643,7 @@ def _check_upto(t: Transducer, core_e, pairs, marks: dict, limit: int = 60) -> t
         sw = marks.get(w)
         if sw is None:
             continue
-        path = _find_accepting_path(t, u, v)
+        path = td._pair_path(t, u, v, len(u) + len(v))
         if path is None:
             continue
         sig = sw.sig
@@ -789,8 +720,7 @@ def build_combing(
     alphabet = l.t.alphabet
     warnings: list[str] = []
 
-    closed = combine_linear("union", l, invert_linear(l))
-    t = td.trim(closed.t)
+    t = td.trim(nfa_mod.union(l.t, invert_linear(l).t))
     t = td.strip_epsilon_cycles(t)
     t = td.trim(t)
     if not t.terminals:
@@ -877,7 +807,7 @@ def build_combing(
     for i, (x, ex) in enumerate(x_elems):
         dset = set()
         for y, ey in x_elems[:i]:
-            diff = _mul_elems(o, ex, o.inv_element(ey))
+            diff = o.mul(ex, o.inv_element(ey))
             if diff in reach_h:
                 dset.add(diff)
         if dset:
@@ -895,10 +825,7 @@ def build_combing(
             kept.append(str(x) or "ε")
     if not pieces:
         raise RuntimeError("no suffix candidate survived; input is not as expected")
-    cp = pieces[0]
-    for p in pieces[1:]:
-        cp = nfa_mod.union(cp, p)
-    cprime = nfa_mod.trim(cp)
+    cprime = nfa_mod.trim(nfa_mod.union_all(pieces))
 
     c0_contained = nfa_mod.is_empty_language(nfa_mod.difference(c0, cprime))
     if not c0_contained:

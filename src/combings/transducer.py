@@ -1,8 +1,11 @@
 """Transducers: automata over (Σ∪ε) × (Σ∪ε), accepting rational transductions.
 
-Same conventions as the nfa module: one initial vertex, dense integer ids,
-immutable after construction.  A label is a pair (x, y) of letter indices
-where either side may be None for epsilon.
+A Transducer is the nfa module's Automaton with labels (x, y), pairs of
+letter indices where either side may be None for epsilon; (None, None) is
+its epsilon label.  Trim, union, concatenation, relabelling and
+renumbering are the nfa module's, which serve both classes.  Transducer is
+not an Nfa: the two are sibling subclasses, so code that takes a word
+automaton can tell a transducer apart.  What is here reads the two tapes.
 """
 
 from __future__ import annotations
@@ -11,170 +14,74 @@ from collections import deque
 from typing import Collection, Iterable, Optional
 
 from . import nfa as nfa_mod
-from .nfa import Nfa
+from .nfa import Automaton, Nfa
 from .words import Alphabet, Word
 
 Label = tuple[Optional[int], Optional[int]]
 TEdge = tuple[int, Label, int]
 
 
-class Transducer:
-    __slots__ = ("alphabet", "n", "edges", "initial", "terminals", "_adj")
+class Transducer(Automaton):
+    __slots__ = ()
+    EPS = (None, None)
 
-    def __init__(
-        self,
-        alphabet: Alphabet,
-        n: int,
-        edges: Iterable[TEdge],
-        initial: int,
-        terminals: Iterable[int],
-    ):
-        self.alphabet = alphabet
-        self.n = n
-        self.edges: frozenset[TEdge] = frozenset(edges)
-        self.initial = initial
-        self.terminals: frozenset[int] = frozenset(terminals)
-        self._adj = None
-        if not 0 <= initial < n:
-            raise ValueError(f"initial vertex {initial} out of range")
-        for t in self.terminals:
-            if not 0 <= t < n:
-                raise ValueError(f"terminal vertex {t} out of range")
-        k = len(alphabet)
-        for s, (x, y), d in self.edges:
-            if not (0 <= s < n and 0 <= d < n):
-                raise ValueError(f"edge ({s},({x},{y}),{d}) out of range")
-            for lab in (x, y):
-                if lab is not None and not 0 <= lab < k:
-                    raise ValueError(f"edge label {lab} out of range")
+    @staticmethod
+    def check_label(lab: Label, k: int) -> None:
+        x, y = lab
+        Nfa.check_label(x, k)
+        Nfa.check_label(y, k)
 
-    def adjacency(self):
-        if self._adj is None:
-            adj = [[] for _ in range(self.n)]
-            for s, lab, d in self.edges:
-                adj[s].append((lab, d))
-            self._adj = adj
-        return self._adj
-
-    def __repr__(self) -> str:
-        return (
-            f"Transducer({self.n} states, {len(self.edges)} edges, "
-            f"{len(self.terminals)} final)"
-        )
+    @staticmethod
+    def label_key(lab: Label) -> tuple[int, int]:
+        x, y = lab
+        return (-1 if x is None else x, -1 if y is None else y)
 
 
-def accepts_pair(t: Transducer, u: Word, v: Word) -> bool:
-    """Does some successful path read u on the first tape and v on the second?"""
+def _pair_path(t: Transducer, u: Word, v: Word, total: int) -> Optional[list[TEdge]]:
+    """The edges of a successful path whose tapes read a prefix of u and a
+    prefix of v, total letters in all, or None when there is none.
+
+    A breadth-first search over (state, i, j), where the first tape has read
+    u[:i] and the second v[:j], with i + j <= total.  With total = |u| + |v|
+    the path reads exactly the pair (u, v).  A word w = u'·v'⁻¹ splits so
+    that v' is a prefix of w⁻¹, and w = u'·v'ʳ so that v' is a prefix of wʳ,
+    which is how linear.member asks with total = |w|."""
     if u.alphabet != t.alphabet or v.alphabet != t.alphabet:
         raise ValueError("words over a different alphabet")
     adj = t.adjacency()
     start = (t.initial, 0, 0)
-    seen = {start}
+    parent: dict = {start: None}
     queue = deque([start])
     while queue:
-        p, i, j = queue.popleft()
-        if i == len(u) and j == len(v) and p in t.terminals:
-            return True
-        for (x, y), q in adj[p]:
-            i2 = i
-            if x is not None:
-                if i == len(u) or u.indices[i] != x:
-                    continue
-                i2 = i + 1
-            j2 = j
-            if y is not None:
-                if j == len(v) or v.indices[j] != y:
-                    continue
-                j2 = j + 1
+        key = queue.popleft()
+        p, i, j = key
+        if i + j == total and p in t.terminals:
+            path = []
+            while parent[key] is not None:
+                key, edge = parent[key]
+                path.append(edge)
+            path.reverse()
+            return path
+        for lab, q in adj[p]:
+            x, y = lab
+            i2, j2 = i + (x is not None), j + (y is not None)
+            if i2 + j2 > total:
+                continue
+            if x is not None and (i == len(u) or u.indices[i] != x):
+                continue
+            if y is not None and (j == len(v) or v.indices[j] != y):
+                continue
             nxt = (q, i2, j2)
-            if nxt not in seen:
-                seen.add(nxt)
+            if nxt not in parent:
+                parent[nxt] = (key, (p, lab, q))
                 queue.append(nxt)
-    return False
+    return None
 
 
 def trim(t: Transducer) -> Transducer:
-    return _trim_each(t, [t.terminals])[0]
-
-
-def _trim_each(t: Transducer, term_sets: Iterable[Collection[int]]) -> list[Transducer]:
-    """trim(t) once per terminal set.  The pieces share t's states, edges and
-    initial vertex, so the forward search, the reverse adjacency and the
-    forward-reachable edges are computed once; only the backward search
-    runs per set.  An edge from a reachable vertex into a co-reachable one
-    has both ends kept, so that is the whole edge filter.  For the set
-    t.terminals itself, when every vertex is kept, the piece is t."""
-    fwd = nfa_mod._reachable(t.n, t.edges, [t.initial], True)
-    back = nfa_mod._arrows(t.n, t.edges, False)
-    fwd_edges = [e for e in t.edges if e[0] in fwd]
-    out = []
-    for terms in term_sets:
-        bwd = nfa_mod._search(back, terms)
-        if terms is t.terminals and len(fwd) == len(bwd) == t.n:
-            out.append(t)
-            continue
-        keep = (fwd & bwd) | {t.initial}
-        order = sorted(keep)
-        remap = {old: new for new, old in enumerate(order)}
-        edges = [(remap[s], lab, remap[d]) for s, lab, d in fwd_edges if d in bwd]
-        kept_terms = [remap[x] for x in terms if x in fwd]
-        out.append(Transducer(t.alphabet, len(order), edges, remap[t.initial], kept_terms))
-    return out
-
-
-def union(a: Transducer, b: Transducer) -> Transducer:
-    if a.alphabet != b.alphabet:
-        raise ValueError("transducers over different alphabets")
-    off = 1 + a.n
-    eps: Label = (None, None)
-    edges: list[TEdge] = [(0, eps, 1 + a.initial), (0, eps, off + b.initial)]
-    edges.extend((1 + s, lab, 1 + d) for s, lab, d in a.edges)
-    edges.extend((off + s, lab, off + d) for s, lab, d in b.edges)
-    terms = [1 + x for x in a.terminals] + [off + x for x in b.terminals]
-    return Transducer(a.alphabet, 1 + a.n + b.n, edges, 0, terms)
-
-
-def union_all(parts: list[Transducer]) -> Transducer:
-    """The left fold of union over parts, built in one pass with the same
-    ids.  The fold of k parts opens with the chain of its k-1 roots: root j
-    (the root of the fold of the first k-j parts) has ε edges to root j+1,
-    or to the first part when j = k-2, and to part k-1-j.  The parts follow
-    in order, each at k-1 plus the sizes of the parts before it."""
-    if not parts:
-        raise ValueError("union_all needs at least one transducer")
-    alphabet = parts[0].alphabet
-    if any(p.alphabet != alphabet for p in parts):
-        raise ValueError("transducers over different alphabets")
-    if len(parts) == 1:
-        return parts[0]
-    k = len(parts)
-    offs = [k - 1]
-    for p in parts[:-1]:
-        offs.append(offs[-1] + p.n)
-    eps: Label = (None, None)
-    edges: list[TEdge] = []
-    for j in range(k - 1):
-        nxt = j + 1 if j < k - 2 else offs[0] + parts[0].initial
-        last = k - 1 - j
-        edges.append((j, eps, nxt))
-        edges.append((j, eps, offs[last] + parts[last].initial))
-    terms: list[int] = []
-    for off, p in zip(offs, parts):
-        edges.extend((off + s, lab, off + d) for s, lab, d in p.edges)
-        terms.extend(off + x for x in p.terminals)
-    return Transducer(alphabet, offs[-1] + parts[-1].n, edges, 0, terms)
-
-
-def concat(a: Transducer, b: Transducer) -> Transducer:
-    if a.alphabet != b.alphabet:
-        raise ValueError("transducers over different alphabets")
-    off = a.n
-    eps: Label = (None, None)
-    edges: list[TEdge] = list(a.edges)
-    edges.extend((off + s, lab, off + d) for s, lab, d in b.edges)
-    edges.extend((x, eps, off + b.initial) for x in a.terminals)
-    terms = [off + x for x in b.terminals]
-    return Transducer(a.alphabet, a.n + b.n, edges, a.initial, terms)
+    """nfa.trim of a transducer; the benchmark's layer trace counts
+    transducer trims under this name."""
+    return nfa_mod.trim(t)
 
 
 def from_pairs(alphabet: Alphabet, pairs: Iterable[tuple[Word, Word]]) -> Transducer:
@@ -192,7 +99,7 @@ def from_pairs(alphabet: Alphabet, pairs: Iterable[tuple[Word, Word]]) -> Transd
         parts.append(Transducer(alphabet, m + 1, edges, 0, [m]))
     if not parts:
         return Transducer(alphabet, 1, [], 0, [])
-    return union_all(parts)
+    return nfa_mod.union_all(parts)
 
 
 def project(t: Transducer, coordinate: str) -> Nfa:
@@ -223,8 +130,8 @@ def _product_side(
     """
     if t.alphabet != r.alphabet:
         raise ValueError("different alphabets")
-    radj = [sorted(row, key=lambda m: (_num(m[0]), m[1])) for row in r.adjacency()]
-    tadj = [sorted(row, key=lambda m: (_num(m[0][0]), _num(m[0][1]), m[1])) for row in t.adjacency()]
+    radj = nfa_mod._sorted_adjacency(r)
+    tadj = nfa_mod._sorted_adjacency(t)
     ids: dict[tuple[int, int], int] = {}
     keys: list[tuple[int, int]] = []
     edges: list[TEdge] = []
@@ -243,15 +150,15 @@ def _product_side(
     ids[start] = 0
     keys.append(start)
     for me, (p, q) in enumerate(keys):
-        for lab, p2 in tadj[p]:
+        for _key, p2, lab in tadj[p]:
             x = lab[side]
             if x is None:
                 add(me, lab, p2, q)
             else:
-                for rl, q2 in radj[q]:
+                for _rkey, q2, rl in radj[q]:
                     if rl == x:
                         add(me, lab, p2, q2)
-        for rl, q2 in radj[q]:
+        for _rkey, q2, rl in radj[q]:
             if rl is None:
                 add(me, (None, None), p, q2)
     terms = [i for i, (p, q) in enumerate(keys) if p in t.terminals and q in r.terminals]
@@ -289,11 +196,6 @@ def _coreachable_pairs(
     return seen
 
 
-def _num(x: Optional[int]) -> int:
-    """A letter index, with epsilon as -1, so that labels sort."""
-    return -1 if x is None else x
-
-
 def intersect_rect(t: Transducer, r: Nfa, s: Nfa) -> Transducer:
     """Intersect the transduction with the rectangle R × S: keep pairs (u,v)
     with u in L(r) and v in L(s)."""
@@ -313,14 +215,9 @@ def strip_epsilon_cycles(t: Transducer) -> Transducer:
     cycle edges.  The set of labels of successful paths is unchanged; the
     merged vertex is initial/terminal if any member was.  Without such a
     cycle, the result is t itself."""
-    eps_adj: list[list[int]] = [[] for _ in range(t.n)]
-    loops = False
-    for s, lab, d in t.edges:
-        if lab == (None, None):
-            eps_adj[s].append(d)
-            loops = loops or s == d
-    comp = _scc(t.n, eps_adj)
-    if not loops and len(set(comp)) == t.n:
+    eps = [e for e in t.edges if e[1] == t.EPS]
+    comp = _scc(t.n, nfa_mod._arrows(t.n, eps, True))
+    if len(set(comp)) == t.n and not any(s == d for s, _lab, d in eps):
         return t
     # component representative = min old id, for determinism
     rep_of_comp: dict[int, int] = {}
@@ -332,7 +229,7 @@ def strip_epsilon_cycles(t: Transducer) -> Transducer:
     remap = {old: new for new, old in enumerate(order)}
     edges: set[TEdge] = set()
     for s, lab, d in t.edges:
-        if lab == (None, None) and comp[s] == comp[d]:
+        if lab == t.EPS and comp[s] == comp[d]:
             continue  # an (ε,ε) edge inside a component lies on an (ε,ε) cycle
         edges.add((remap[rep[s]], lab, remap[rep[d]]))
     terms = {remap[rep[x]] for x in t.terminals}
@@ -386,43 +283,36 @@ def _scc(n: int, adj: list[list[int]]) -> list[int]:
     return comp
 
 
+def _weight(lab: Label) -> int:
+    """|x| - |y| of a label (x, y): its change to the tape-length imbalance."""
+    return (lab[0] is not None) - (lab[1] is not None)
+
+
 def _balance_potentials(t: Transducer):
     """Per-SCC potentials for the tape-length imbalance, or None if some
-    cycle is unbalanced.  Edge weight is |x| - |y| in {-1, 0, 1}."""
-    adj: list[list[int]] = [[] for _ in range(t.n)]
-    wadj: list[list[tuple[int, int]]] = [[] for _ in range(t.n)]
-    for s, (x, y), d in t.edges:
-        w = (x is not None) - (y is not None)
-        adj[s].append(d)
-        wadj[s].append((d, w))
-    comp = _scc(t.n, adj)
+    cycle is unbalanced.  A breadth-first search from the least vertex of a
+    component, along its inner edges, follows every inner edge once, so
+    checking each edge as it is followed checks every cycle."""
+    comp = _scc(t.n, nfa_mod._arrows(t.n, t.edges, True))
+    adj = t.adjacency()
     phi = [0] * t.n
     seen = [False] * t.n
     for root in range(t.n):
         if seen[root]:
             continue
         seen[root] = True
-        phi[root] = 0
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            for d, w in wadj[v]:
+            for lab, d in adj[v]:
                 if comp[d] != comp[v]:
                     continue
                 if not seen[d]:
                     seen[d] = True
-                    phi[d] = phi[v] + w
+                    phi[d] = phi[v] + _weight(lab)
                     queue.append(d)
-                elif phi[d] != phi[v] + w:
+                elif phi[d] != phi[v] + _weight(lab):
                     return None, comp
-    # BFS inside one SCC may have been rooted at several vertices only if
-    # they are unreachable from one another inside the SCC, which cannot
-    # happen in a strongly connected component, so phi is consistent.
-    for s, (x, y), d in t.edges:
-        if comp[s] == comp[d]:
-            w = (x is not None) - (y is not None)
-            if phi[d] != phi[s] + w:
-                return None, comp
     return phi, comp
 
 
@@ -463,10 +353,10 @@ def synchronized_bound(t: Transducer) -> Optional[int]:
         for v in vs:
             lo[v] = base_lo + phi[v]
             hi[v] = base_hi + phi[v]
-        for s, (x, y), d in t.edges:
+        for s, lab, d in t.edges:
             if comp[s] != c or comp[d] == c:
                 continue
-            w = (x is not None) - (y is not None)
+            w = _weight(lab)
             if lo[d] is None or lo[s] + w < lo[d]:
                 lo[d] = lo[s] + w
             if hi[d] is None or hi[s] + w > hi[d]:
@@ -519,9 +409,3 @@ def enumerate_pairs(t: Transducer, max_total: int) -> list[tuple[Word, Word]]:
                     buckets[total2].setdefault((u2, v2), set()).add(q)
     ab = t.alphabet
     return [(Word(ab, u), Word(ab, v)) for u, v in sorted(out)]
-
-
-def relabel(t: Transducer, mapping) -> Transducer:
-    """Apply a label-pair mapping (x,y) -> (x',y') to every edge."""
-    edges = [(s, mapping(lab), d) for s, lab, d in t.edges]
-    return Transducer(t.alphabet, t.n, edges, t.initial, t.terminals)

@@ -169,18 +169,6 @@ def shortlex_key(w: Word):
     return (len(w.indices), w.indices)
 
 
-def shortlex_compare(u: Word, v: Word) -> int:
-    """-1, 0 or 1 as u is before, equal to, or after v in shortlex order.
-
-    Shorter words come first; words of equal length compare
-    lexicographically by the alphabet's letter order.
-    """
-    if u.alphabet != v.alphabet:
-        raise ValueError("words over different alphabets")
-    ku, kv = shortlex_key(u), shortlex_key(v)
-    return (ku > kv) - (ku < kv)
-
-
 def center_distance(w: Word, i: int) -> Fraction:
     """Distance of position i (1-based) from the center (n+1)/2 of w.
 

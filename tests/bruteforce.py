@@ -210,9 +210,9 @@ def intersect_regular_per_rectangle(l: LinearLanguage, r: Nfa) -> LinearLanguage
 
 
 def union_fold(parts):
-    """The pairwise left fold of td.union: the numbering td.union_all must
-    reproduce."""
-    return functools.reduce(td.union, parts)
+    """The pairwise left fold of nfa.union: the numbering nfa.union_all
+    must reproduce."""
+    return functools.reduce(nfa_mod.union, parts)
 
 
 def trim_fresh(a):

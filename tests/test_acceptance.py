@@ -143,7 +143,7 @@ def test_criterion_1_closure_laws():
 
     for i, t in enumerate(trans):
         j = (i + 1) % len(trans)
-        if pairs_of_transducer(td.union(t, trans[j]), 6) != rels[i] | rels[j]:
+        if pairs_of_transducer(nfa_mod.union(t, trans[j]), 6) != rels[i] | rels[j]:
             problems.append(f"transducer union #{i}")
         want = {
             (u + x, v + y)
@@ -151,7 +151,7 @@ def test_criterion_1_closure_laws():
             for (x, y) in rels[j]
             if len(u) + len(x) + len(v) + len(y) <= 6
         }
-        if pairs_of_transducer(td.concat(t, trans[j]), 6) != want:
+        if pairs_of_transducer(nfa_mod.concat(t, trans[j]), 6) != want:
             problems.append(f"transducer concat #{i}")
         for coordinate, pick in (("first", 0), ("second", 1)):
             reference = Nfa(

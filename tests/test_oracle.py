@@ -8,7 +8,6 @@ from combings import (
     FreeOracle,
     Word,
     ball,
-    cayley_transducer,
     distance,
     free_reduce,
     ft_distance,
@@ -16,7 +15,6 @@ from combings import (
     shortlex_key,
 )
 from combings import oracle as orc
-from combings import transducer as td
 from bruteforce import random_word, words_upto
 
 
@@ -119,6 +117,20 @@ def test_finite_oracle_accepts_nonabelian_group(ab1):
     assert o.distance_from_identity(idx[(1, 0, 2)]) is None
 
 
+def test_mul_matches_concatenation(rng, ab2, z2_oracle, free2_oracle):
+    """mul on stored elements agrees with evaluating the concatenated word,
+    on a free, an abelian and a nonabelian finite oracle."""
+    perms = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)]
+    idx = {p: i for i, p in enumerate(perms)}
+    table = [[idx[tuple(q[p[i]] for i in range(3))] for q in perms] for p in perms]
+    s3 = FiniteOracle(ab2, table, letter_images={"a": idx[(1, 0, 2)], "b": idx[(1, 2, 0)]})
+    for o in (free2_oracle, z2_oracle, s3):
+        for _ in range(100):
+            u = random_word(rng, ab2, 6)
+            v = random_word(rng, ab2, 6)
+            assert o.mul(o.element(u), o.element(v)) == o.element(u + v)
+
+
 def test_abelian_distance_unit_weights_is_l1(ab3):
     o = AbelianOracle(ab3, 3, {"a": [1, 0, 0], "b": [0, 1, 0], "c": [0, 0, 1]})
     far = ab3.word("a" * 20 + "b" * 20 + "c" * 20)
@@ -201,27 +213,3 @@ def test_async_at_most_sync(rng, ab2, z2_oracle, free2_oracle):
             a = ft_distance(o, "async", u, v, cap=64)
             assert s is not None and a is not None
             assert a <= s
-
-
-def test_cayley_transducer(ab1, z_oracle):
-    t = cayley_transducer(z_oracle, ab1.word("a"), radius=2)
-    for u, v in td.enumerate_pairs(t, 4):
-        assert z_oracle.element(invert_word(u) + v) == z_oracle.element(ab1.word("a"))
-    got = set(td.enumerate_pairs(t, 3))
-    assert (ab1.word(""), ab1.word("a")) in got
-    assert (ab1.word("A"), ab1.word("")) in got
-    assert (ab1.word("a"), ab1.word("aa")) in got
-
-
-def test_cayley_transducer_completeness(ab2, z2_oracle):
-    t = cayley_transducer(z2_oracle, ab2.word("ab"), radius=3)
-    want = z2_oracle.element(ab2.word("ab"))
-    for u, v in ((ab2.word(""), ab2.word("ab")), (ab2.word(""), ab2.word("ba")),
-                 (ab2.word("B"), ab2.word("a")), (ab2.word("BA"), ab2.word(""))):
-        assert td.accepts_pair(t, u, v)
-        assert z2_oracle.element(invert_word(u) + v) == want
-
-
-def test_cayley_transducer_target_outside_ball(ab2, z2_oracle):
-    with pytest.raises(ValueError):
-        cayley_transducer(z2_oracle, ab2.word("aaaa"), radius=2)

@@ -14,15 +14,47 @@ from bruteforce import (
     strip_epsilon_cycles_fresh,
     trim_fresh,
     union_fold,
+    words_upto,
 )
+
+
+def _accepts_pair(t, u, v):
+    return td._pair_path(t, u, v, len(u) + len(v)) is not None
+
+
+def test_constructor_validation(ab2):
+    """Out-of-range labels on either tape, edge ends, initial vertex and
+    terminals are refused, as for Nfa (test_nfa.test_edge_validation)."""
+    for bad in (
+        lambda: Transducer(ab2, 2, [(0, (9, None), 1)], 0, [1]),
+        lambda: Transducer(ab2, 2, [(0, (None, 4), 1)], 0, [1]),
+        lambda: Transducer(ab2, 2, [(0, (0, -1), 1)], 0, [1]),
+        lambda: Transducer(ab2, 2, [(0, (0, 0), 2)], 0, [1]),
+        lambda: Transducer(ab2, 2, [(-1, (0, 0), 1)], 0, [1]),
+        lambda: Transducer(ab2, 2, [(0, (0, 0), 1)], 2, [1]),
+        lambda: Transducer(ab2, 2, [(0, (0, 0), 1)], 0, [5]),
+    ):
+        with pytest.raises(ValueError):
+            bad()
+    # every edge is checked, not only the first with a given label
+    with pytest.raises(ValueError):
+        Transducer(ab2, 3, [(0, (0, 0), 1), (1, (0, 0), 3)], 0, [1])
+
+
+def test_transducer_is_not_an_nfa(ab2):
+    t = Transducer(ab2, 1, [], 0, [0])
+    assert not isinstance(t, Nfa)
+    assert not isinstance(Nfa(ab2, 1, [], 0, [0]), Transducer)
+    with pytest.raises(ValueError):
+        nfa_mod.union(t, Nfa(ab2, 1, [], 0, [0]))
 
 
 def test_accepts_pair_basics(ab2):
     t = Transducer(ab2, 2, [(0, (0, None), 0), (0, (2, 2), 1)], 0, [1])
-    assert td.accepts_pair(t, ab2.word("aab"), ab2.word("b"))
-    assert td.accepts_pair(t, ab2.word("b"), ab2.word("b"))
-    assert not td.accepts_pair(t, ab2.word("aab"), ab2.word("ab"))
-    assert not td.accepts_pair(t, ab2.word("aa"), ab2.word(""))
+    assert _accepts_pair(t, ab2.word("aab"), ab2.word("b"))
+    assert _accepts_pair(t, ab2.word("b"), ab2.word("b"))
+    assert not _accepts_pair(t, ab2.word("aab"), ab2.word("ab"))
+    assert not _accepts_pair(t, ab2.word("aa"), ab2.word(""))
 
 
 def test_accepts_pair_vs_bruteforce(rng, ab2):
@@ -30,11 +62,32 @@ def test_accepts_pair_vs_bruteforce(rng, ab2):
         t = random_transducer(rng, ab2, max_states=4)
         want = pairs_of_transducer(t, 6)
         for u, v in want:
-            assert td.accepts_pair(t, u, v)
+            assert _accepts_pair(t, u, v)
         for _ in range(30):
             u = random_word(rng, ab2, 3)
             v = random_word(rng, ab2, 3)
-            assert td.accepts_pair(t, u, v) == ((u, v) in want)
+            assert _accepts_pair(t, u, v) == ((u, v) in want)
+
+
+def test_pair_path_spells_the_pair(rng, ab2):
+    """For an accepted pair the path is a chain of t's edges from the
+    initial vertex to a terminal whose tapes spell u and v; for any other
+    pair up to the same total there is no path."""
+    for _ in range(40):
+        t = random_transducer(rng, ab2, max_states=4)
+        want = pairs_of_transducer(t, 5)
+        for u, v in want:
+            path = td._pair_path(t, u, v, len(u) + len(v))
+            assert all(e in t.edges for e in path)
+            ends = [t.initial] + [d for _s, _lab, d in path]
+            assert [s for s, _lab, _d in path] == ends[:-1]
+            assert ends[-1] in t.terminals
+            assert Word(ab2, [lab[0] for _s, lab, _d in path if lab[0] is not None]) == u
+            assert Word(ab2, [lab[1] for _s, lab, _d in path if lab[1] is not None]) == v
+        for u in words_upto(ab2, 2):
+            for v in words_upto(ab2, 2):
+                if (u, v) not in want:
+                    assert td._pair_path(t, u, v, len(u) + len(v)) is None
 
 
 def test_trim_preserves_pairs(rng, ab2):
@@ -51,7 +104,7 @@ def test_trim_each_matches_trim(rng, ab2):
             for frac in (0.0, 0.2, 0.5, 1.0)
         ]
         rng.shuffle(sets)
-        got = td._trim_each(t, sets)
+        got = nfa_mod._trim_each(t, sets)
         untrimmed = [Transducer(ab2, t.n, t.edges, t.initial, s) for s in sets]
         want = [td.trim(u) for u in untrimmed]
         assert [(g.n, g.edges, g.initial, g.terminals) for g in got] == [
@@ -66,8 +119,8 @@ def test_union_concat(rng, ab2):
         a = random_transducer(rng, ab2, max_states=3)
         b = random_transducer(rng, ab2, max_states=3)
         pa, pb = pairs_of_transducer(a, 4), pairs_of_transducer(b, 4)
-        assert pairs_of_transducer(td.union(a, b), 4) == pa | pb
-        got = pairs_of_transducer(td.concat(a, b), 4)
+        assert pairs_of_transducer(nfa_mod.union(a, b), 4) == pa | pb
+        got = pairs_of_transducer(nfa_mod.concat(a, b), 4)
         want = set()
         for u1, v1 in pa:
             for u2, v2 in pb:
@@ -84,7 +137,7 @@ def test_union_all_matches_fold(rng, ab2):
                 t = random_transducer(rng, ab2, max_states=4)
                 initial = rng.randrange(t.n)  # random_transducer starts at 0
                 parts.append(Transducer(ab2, t.n, t.edges, initial, t.terminals))
-            got = td.union_all(parts)
+            got = nfa_mod.union_all(parts)
             want = union_fold(parts)
             assert (got.n, got.edges, got.initial, got.terminals) == (
                 want.n,
@@ -93,7 +146,7 @@ def test_union_all_matches_fold(rng, ab2):
                 want.terminals,
             )
     with pytest.raises(ValueError):
-        td.union_all([])
+        nfa_mod.union_all([])
 
 
 def test_trim_and_strip_keep_unchanged_input(rng, ab2):
@@ -229,6 +282,6 @@ def test_relabel(ab2):
         return ab2.inverse_index(x) if x is not None else None
 
     t = Transducer(ab2, 2, [(0, (0, 1), 1)], 0, [1])
-    swapped = td.relabel(t, lambda lab: (inv(lab[0]), inv(lab[1])))
-    assert td.accepts_pair(swapped, ab2.word("A"), ab2.word("a"))
-    assert not td.accepts_pair(swapped, ab2.word("a"), ab2.word("A"))
+    swapped = nfa_mod.relabel(t, lambda lab: (inv(lab[0]), inv(lab[1])))
+    assert _accepts_pair(swapped, ab2.word("A"), ab2.word("a"))
+    assert not _accepts_pair(swapped, ab2.word("a"), ab2.word("A"))

@@ -8,7 +8,6 @@ from combings import (
     center_distance,
     free_reduce,
     invert_word,
-    shortlex_compare,
     shortlex_key,
 )
 from bruteforce import random_word
@@ -92,22 +91,26 @@ def test_invert_reduce_commute(rng, ab2):
 def test_shortlex_order(ab2):
     ws = [ab2.word(s) for s in ("", "a", "A", "b", "B", "aa", "aA", "ba")]
     assert sorted(ws, key=shortlex_key) == ws
-    assert shortlex_compare(ab2.word("a"), ab2.word("aa")) < 0
-    assert shortlex_compare(ab2.word("b"), ab2.word("A")) > 0
-    assert shortlex_compare(ab2.word("ab"), ab2.word("ab")) == 0
+    assert shortlex_key(ab2.word("a")) < shortlex_key(ab2.word("aa"))
+    assert shortlex_key(ab2.word("b")) > shortlex_key(ab2.word("A"))
+    assert shortlex_key(ab2.word("ab")) == shortlex_key(ab2.word("ab"))
 
 
 def test_shortlex_key_total(rng, ab2):
     for _ in range(200):
         u = random_word(rng, ab2, 6)
         v = random_word(rng, ab2, 6)
-        c = shortlex_compare(u, v)
-        if c < 0:
-            assert shortlex_key(u) < shortlex_key(v)
-        elif c > 0:
-            assert shortlex_key(u) > shortlex_key(v)
+        # shorter first, then the alphabet's letter order at the first difference
+        first = next((i for i, (x, y) in enumerate(zip(u, v)) if x != y), None)
+        if len(u) != len(v):
+            before = len(u) < len(v)
+        elif first is not None:
+            before = u[first] < v[first]
         else:
-            assert u == v
+            assert u == v and shortlex_key(u) == shortlex_key(v)
+            continue
+        assert (shortlex_key(u) < shortlex_key(v)) == before
+        assert (shortlex_key(v) < shortlex_key(u)) == (not before)
 
 
 def test_center_distance_exact(ab2):
