@@ -104,20 +104,6 @@ def invert_linear(l: LinearLanguage) -> LinearLanguage:
     return LinearLanguage(swapped, "inverse")
 
 
-def convert_mode(l: LinearLanguage, mode: str) -> LinearLanguage:
-    """Reversal and inverse presentations interconvert by inverting the
-    second tape letterwise: u·vʳ = u·(v̄)⁻¹ where v̄ inverts each letter."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, not {mode!r}")
-    if mode == l.mode:
-        return l
-    inv = l.t.alphabet.inverse_index
-    flipped = nfa_mod.relabel(
-        l.t, lambda lab: (lab[0], None if lab[1] is None else inv(lab[1]))
-    )
-    return LinearLanguage(flipped, mode)
-
-
 def enumerate_members(l: LinearLanguage, maxlen: int) -> list[Word]:
     """All members of length <= maxlen, shortlex sorted, duplicates removed.
     A member's length is |u| + |v|, so bounded pair enumeration is exact."""

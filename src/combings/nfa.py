@@ -395,11 +395,6 @@ def difference(a: Nfa, b: Nfa) -> Nfa:
     return trim(Nfa(a.alphabet, len(b_subsets), edges, 0, terms))
 
 
-def intersection(a: Nfa, b: Nfa) -> Nfa:
-    """Product automaton for L(a) ∩ L(b)."""
-    return difference(a, difference(a, b))
-
-
 def minimize(a: Nfa) -> Nfa:
     """Minimal deterministic automaton for the language, without epsilon
     edges.  Subset construction followed by partition refinement; missing

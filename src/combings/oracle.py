@@ -10,11 +10,10 @@ dictionaries in the searches.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Hashable, Optional, Sequence
 
-from .words import Alphabet, Word, invert_word
+from .words import Alphabet, Word
 
 DEFAULT_BALL_CAP = 200_000
 
@@ -236,16 +235,7 @@ class FiniteOracle(GroupOracle):
                     "are not mutually inverse"
                 )
         self.letter_images: tuple[int, ...] = tuple(imgs)  # type: ignore[arg-type]
-        dist = {0: 0}
-        queue = deque([0])
-        while queue:
-            g = queue.popleft()
-            for letter in range(len(alphabet)):
-                h = self.mul_right(g, letter)
-                if h not in dist:
-                    dist[h] = dist[g] + 1
-                    queue.append(h)
-        self._dist = dist
+        self._dist = dist = ball(self, n).dist
         # Light's associativity test: the elements g with (a·g)·b = a·(g·b)
         # for all a, b are closed under products, so checking the letter
         # images and the elements they do not reach covers the whole table.
@@ -332,12 +322,6 @@ def ball(o: GroupOracle, k: int, cap: int = DEFAULT_BALL_CAP) -> CayleyBall:
                         )
         frontier = nxt
     return CayleyBall(o, k, dist, rep, order)
-
-
-def distance(o: GroupOracle, u: Word, v: Word, cap: int = 64) -> Optional[int]:
-    """Word-metric distance d(ū, v̄) in the Cayley graph over the letter
-    images, or None if it exceeds cap."""
-    return o.distance_from_identity(o.element(invert_word(u) + v), cap)
 
 
 def ft_distance(o: GroupOracle, mode: str, u: Word, v: Word, cap: int = 64) -> Optional[int]:

@@ -18,9 +18,17 @@ from . import nfa as nfa_mod
 from . import transducer as td
 from .linear import LinearLanguage, intersect_regular, invert_linear
 from .nfa import Nfa
-from .oracle import CayleyBall, GroupOracle, ball, ft_distance
+from .oracle import DEFAULT_BALL_CAP, CayleyBall, GroupOracle, ball, ft_distance
 from .transducer import Transducer
-from .words import Alphabet, Word, free_reduce, invert_word, shortlex_key
+from .words import Word, invert_word, shortlex_key
+
+# Sample sizes and caps of the sampled stages (see build_combing and
+# ft_bound_of_combing).
+SIG_SAMPLE_LEN = 8  # |u| + |v| of the pairs searched for significant letters
+FT_SAMPLE_LEN = 6  # member length of the fellow-traveler samples of a build
+FT_CAP = 64  # largest fellow-traveler distance ft_bound_of_combing measures
+FT_MAX_MEMBERS = 2000  # members ft_bound_of_combing pairs up, shortlex first
+UPTO_PAIRS = 60  # sampled pairs whose marked letter's edge is checked off-core
 
 
 # ---------------------------------------------------------------- significant
@@ -61,49 +69,45 @@ class SigViolation:
         )
 
 
-def _junction_cancellation(a: Word, b: Word) -> int:
-    """Length of the block cancelled when the freely reduced words a and b
-    are concatenated."""
-    inv = a.alphabet.inv
+def _violation(s1: SigWord, s2: SigWord) -> Optional[SigViolation]:
+    """The violation in the product s1·s2, or None when both marked letters
+    survive its free reduction or the product reduces to the empty word."""
+    a, b = s1.word, s2.word
     m, n = len(a), len(b)
-    t = 0
+    inv = a.alphabet.inv
+    t = 0  # length of the block cancelled at the junction
     while t < m and t < n and a.indices[m - 1 - t] == inv[b.indices[t]]:
         t += 1
-    return t
+    if t == m and t == n:
+        return None  # the product collapses entirely; allowed
+    hit_left = s1.sig > m - t
+    hit_right = s2.sig <= t
+    if not (hit_left or hit_right):
+        return None
+    which = "both" if (hit_left and hit_right) else ("left" if hit_left else "right")
+    return SigViolation(s1, s2, a[: m - t] + b[t:], which)
 
 
-def check_significant(
-    sample: list[SigWord], close_under_inversion: bool = True
-) -> Optional[SigViolation]:
+def check_significant(sample: list[SigWord]) -> Optional[SigViolation]:
     """Check the marked letters over every ordered product of sample words.
 
     A marked letter must survive free reduction of w1·w2 unless the product
-    reduces to the empty word.  With close_under_inversion the sample is
-    first completed with the mirrored marks on the inverses, which covers
-    all sign combinations of the products.  Returns None on success or the
-    first violation found.
+    reduces to the empty word.  The sample is first completed with the
+    mirrored marks on the inverses, which covers all sign combinations of
+    the products.  Returns None on success or the first violation found.
     """
     items = list(sample)
-    if close_under_inversion:
-        present = {sw.word for sw in items}
-        for sw in sample:
-            iw = sw.inverse()
-            if iw.word not in present:
-                items.append(iw)
-                present.add(iw.word)
+    present = {sw.word for sw in items}
+    for sw in sample:
+        iw = sw.inverse()
+        if iw.word not in present:
+            items.append(iw)
+            present.add(iw.word)
     for s1 in items:
         for s2 in items:
-            a, b = s1.word, s2.word
-            m, n = len(a), len(b)
-            t = _junction_cancellation(a, b)
-            if t == m and t == n:
-                continue  # the product collapses entirely; allowed
-            hit_left = s1.sig > m - t
-            hit_right = s2.sig <= t
-            if hit_left or hit_right:
-                reduced = a[: m - t] + b[t:]
-                which = "both" if (hit_left and hit_right) else ("left" if hit_left else "right")
-                return SigViolation(s1, s2, reduced, which)
+            viol = _violation(s1, s2)
+            if viol is not None:
+                return viol
     return None
 
 
@@ -139,16 +143,12 @@ def search_significant(words: list[Word]) -> Optional[list[SigWord]]:
     def ok_with(new: SigWord) -> bool:
         group = [new, new.inverse()]
         others = assigned + [g for a in assigned for g in [a.inverse()]]
-        for x in group:
-            for y in others + group:
-                for s1, s2 in ((x, y), (y, x)):
-                    a, b = s1.word, s2.word
-                    t = _junction_cancellation(a, b)
-                    if t == len(a) and t == len(b):
-                        continue
-                    if s1.sig > len(a) - t or s2.sig <= t:
-                        return False
-        return True
+        return all(
+            _violation(s1, s2) is None
+            for x in group
+            for y in others + group
+            for s1, s2 in ((x, y), (y, x))
+        )
 
     choice: list[int] = []
 
@@ -331,20 +331,12 @@ def check_combing(c: Nfa, o: GroupOracle, ball_radius: int, maxlen: int) -> Comb
     )
 
 
-def ft_bound_of_combing(
-    c: Nfa,
-    o: GroupOracle,
-    mode: str,
-    maxlen: int,
-    cap: int = 64,
-    max_members: int = 2000,
-) -> Optional[int]:
+def ft_bound_of_combing(c: Nfa, o: GroupOracle, mode: str, maxlen: int) -> Optional[int]:
     """Empirical fellow-traveler bound: the max ft_distance over enumerated
-    member pairs whose images lie at distance <= 1 in the group.  None when
-    some pair exceeds the cap (no bound established)."""
-    members = nfa_mod.enumerate_words(c, maxlen)
-    if len(members) > max_members:
-        members = members[:max_members]
+    member pairs whose images lie at distance <= 1 in the group.  Sampled:
+    only the first FT_MAX_MEMBERS members up to length maxlen are paired.
+    None when some pair exceeds FT_CAP (no bound established)."""
+    members = nfa_mod.enumerate_words(c, maxlen)[:FT_MAX_MEMBERS]
     elems = [(w, o.element(w)) for w in members]
     inverses = [o.inv_element(e) for _w, e in elems]
     worst = 0
@@ -353,7 +345,7 @@ def ft_bound_of_combing(
             d = o.distance_from_identity(o.mul(inverses[i], ev), 1)
             if d is None or d > 1:
                 continue
-            f = ft_distance(o, mode, u, v, cap)
+            f = ft_distance(o, mode, u, v, FT_CAP)
             if f is None:
                 return None
             worst = max(worst, f)
@@ -368,21 +360,22 @@ def core_subgraph(t: Transducer) -> tuple[frozenset[int], frozenset]:
 
     The complement contains no cycles and receives no edges back into the
     core, so every successful path is a core prefix followed by a short
-    acyclic tail.
+    acyclic tail.  The complement is peeled off from the vertices without
+    successors: a vertex goes once every edge out of it leads to a peeled
+    vertex, and what is never peeled reaches a cycle.
     """
-    comp = td._scc(t.n, nfa_mod._arrows(t.n, t.edges, True))
-    sizes: dict[int, int] = {}
-    for v in range(t.n):
-        sizes[comp[v]] = sizes.get(comp[v], 0) + 1
-    cyclic = {comp[s] for s, _lab, d in t.edges if s == d}
-    for c, size in sizes.items():
-        if size >= 2:
-            cyclic.add(c)
-    # vertices that reach a cyclic component, by reverse search
-    starts = [v for v in range(t.n) if comp[v] in cyclic]
-    core = nfa_mod._search(nfa_mod._arrows(t.n, t.edges, False), starts)
-    edges = frozenset(e for e in t.edges if e[2] in core)
-    return frozenset(core), edges
+    out = [0] * t.n
+    for s, _lab, _d in t.edges:
+        out[s] += 1
+    back = nfa_mod._arrows(t.n, t.edges, False)
+    peeled = [v for v in range(t.n) if not out[v]]
+    for v in peeled:  # the list grows while it is walked
+        for u in back[v]:
+            out[u] -= 1
+            if not out[u]:
+                peeled.append(u)
+    core = frozenset(range(t.n)).difference(peeled)
+    return core, frozenset(e for e in t.edges if e[2] in core)
 
 
 def _first_tape_core(t: Transducer, core_v: frozenset[int], core_e) -> Nfa:
@@ -401,7 +394,6 @@ def _tail_data(
     core_v: frozenset[int],
     core_e,
     o: GroupOracle,
-    guard: int = 200_000,
 ):
     """Group classes of the word tails that successful paths append beyond
     the core, with a length bound good enough to locate each class by a
@@ -440,9 +432,10 @@ def _tail_data(
             best[key] = (lx, ly)
             pred[key] = []
             queue.append(key)
-            if len(best) > guard:
+            if len(best) > DEFAULT_BALL_CAP:
                 raise RuntimeError(
-                    f"tail search exceeded {guard} states; the off-core part is too wide"
+                    f"tail search exceeded {DEFAULT_BALL_CAP} states; "
+                    "the off-core part is too wide"
                 )
 
     for d, lab in starts:
@@ -540,9 +533,7 @@ def _pair_product(c1: Nfa, c2: Nfa, o: GroupOracle, bl: CayleyBall):
     return t, statelist
 
 
-def extract_generators(
-    c: Nfa, o: GroupOracle, ft_bound: int, cap: int = 200_000
-) -> LinearLanguage:
+def extract_generators(c: Nfa, o: GroupOracle, ft_bound: int) -> LinearLanguage:
     """From a combing C, the linear language {u·a·v^-1 : u,v in C, ū·ā = v̄,
     freely reduced}, whose members normally generate the kernel.
 
@@ -556,7 +547,7 @@ def extract_generators(
     actually a combing.
     """
     c = nfa_mod.remove_epsilon(nfa_mod.trim(c))
-    bl = ball(o, ft_bound, cap)
+    bl = ball(o, ft_bound)
     prod, statelist = _pair_product(c, c, o, bl)
     alphabet = c.alphabet
     letters = []
@@ -599,7 +590,6 @@ class BuildReport:
     c0_states: int
     ft_empirical: Optional[int]
     ft_used: int
-    ft_structural: int
     suffix_bound: str
     x_candidates: int
     x_kept: list[str]
@@ -618,7 +608,7 @@ class BuildReport:
             f"core: {self.core_vertices} vertices, {self.core_edges} edges; "
             f"C0 has {self.c0_states} states",
             f"fellow-traveler bound: empirical {self.ft_empirical}, "
-            f"used {self.ft_used}, structural {self.ft_structural}",
+            f"used {self.ft_used}",
             f"suffix bound {self.suffix_bound!r}; {self.x_candidates} candidates, "
             f"kept {len(self.x_kept)}: {self.x_kept}",
             f"cayley ball radius {self.ball_radius}; product {self.product_states} states",
@@ -634,11 +624,11 @@ class BuildReport:
         return "\n".join(lines)
 
 
-def _check_upto(t: Transducer, core_e, pairs, marks: dict, limit: int = 60) -> tuple[bool, str]:
+def _check_upto(t: Transducer, core_e, pairs, marks: dict) -> tuple[bool, str]:
     """Sampled check that the edge carrying each significant letter lies
-    off-core.  Only the first `limit` pairs are walked; path recovery on a
-    large transducer is the expensive part."""
-    for u, v in pairs[:limit]:
+    off-core.  Only the first UPTO_PAIRS pairs are walked; path recovery on
+    a large transducer is the expensive part."""
+    for u, v in pairs[:UPTO_PAIRS]:
         w = u + invert_word(v)
         sw = marks.get(w)
         if sw is None:
@@ -690,15 +680,7 @@ def _shared_difference(c0: Nfa, ends, prod: Transducer, statelist):
 
 
 def build_combing(
-    l: LinearLanguage,
-    o: GroupOracle,
-    central: bool = False,
-    ft_hint: int = 0,
-    margin: int = 2,
-    sample_len: int = 8,
-    ft_sample_len: int = 6,
-    ft_cap: int = 64,
-    ball_cap: int = 200_000,
+    l: LinearLanguage, o: GroupOracle, central: bool = False, margin: int = 2
 ) -> tuple[Nfa, BuildReport]:
     """Construct a regular prefix-closed combing with uniqueness from a
     linear language of freely reduced normal generators with significant
@@ -714,6 +696,13 @@ def build_combing(
     some s in C0 satisfy r̄·x̄ = s̄·ȳ, witnessed inside the Cayley-ball
     product of C0 with itself, and append x to what survives.  The union of
     the surviving pieces, trimmed, is C'.
+
+    These stages sample rather than decide: the significant letters are
+    searched on the pairs with |u| + |v| <= SIG_SAMPLE_LEN, and the upto
+    check walks the first UPTO_PAIRS of them; the fellow-traveler bounds of
+    C0 and, for a central build, of C' are ft_bound_of_combing over members
+    up to length FT_SAMPLE_LEN (at most FT_MAX_MEMBERS, distances up to
+    FT_CAP).
     """
     if l.mode != "inverse":
         raise ValueError("build_combing expects the u·v^-1 convention")
@@ -729,7 +718,7 @@ def build_combing(
             "of the alphabet and there is nothing to construct"
         )
 
-    pairs = td.enumerate_pairs(t, sample_len)
+    pairs = td.enumerate_pairs(t, SIG_SAMPLE_LEN)
     members = []
     seen_members = set()
     for u, v in pairs:
@@ -767,35 +756,34 @@ def build_combing(
 
     c0 = nfa_mod.minimize(_first_tape_core(t, core_v, core_e))
     mode = "sync" if central else "async"
-    ft_emp = ft_bound_of_combing(c0, o, mode, ft_sample_len, ft_cap)
+    ft_emp = ft_bound_of_combing(c0, o, mode, FT_SAMPLE_LEN)
     if ft_emp is None:
         raise ValueError(
-            f"no empirical fellow-traveler bound within cap {ft_cap}; "
+            f"no empirical fellow-traveler bound within cap {FT_CAP}; "
             "the core prefixes do not fellow-travel"
         )
-    k_used = max(ft_emp, ft_hint) + margin
+    k_used = ft_emp + margin
 
-    tail_classes = _tail_data(t, core_v, core_e, o, guard=ball_cap)
-    need = set(tail_classes)
+    tail_classes = _tail_data(t, core_v, core_e, o)
+    max_bound = max(tail_classes.values())
     radius = 0
-    bl_tail = ball(o, 0, ball_cap)
-    max_bound = max(tail_classes.values(), default=0)
-    while not need <= set(bl_tail.dist):
-        radius += 1
-        if radius > max_bound:
+    for cls in tail_classes:
+        d = o.distance_from_identity(cls, max_bound)
+        if d is None:
             raise RuntimeError("tail class escaped its own length bound")
-        bl_tail = ball(o, radius, ball_cap)
-    m_word = max((bl_tail.rep[cls] for cls in need), key=shortlex_key)
-
-    bl_x = ball(o, len(m_word), ball_cap)
+        radius = max(radius, d)
+    # A breadth-first ball gives an element the same shortlex-least
+    # representative at every radius that holds it, so the suffix
+    # candidates, all of length <= radius, come from the product's ball.
+    radius_r = k_used + 2 * radius
+    bl_r = ball(o, radius_r)
+    m_word = max((bl_r.rep[cls] for cls in tail_classes), key=shortlex_key)
     key_m = shortlex_key(m_word)
     xs = sorted(
-        (w for w in bl_x.rep.values() if shortlex_key(w) <= key_m),
+        (w for w in bl_r.rep.values() if shortlex_key(w) <= key_m),
         key=shortlex_key,
     )
 
-    radius_r = k_used + 2 * len(m_word)
-    bl_r = ball(o, radius_r, ball_cap)
     c0e = nfa_mod.remove_epsilon(c0)
     prod, statelist = _pair_product(c0e, c0e, o, bl_r)
     reach_h = {h for (_p, _q, h) in statelist}
@@ -840,7 +828,6 @@ def build_combing(
         c0_states=c0.n,
         ft_empirical=ft_emp,
         ft_used=k_used,
-        ft_structural=6 * K,
         suffix_bound=str(m_word) or "ε",
         x_candidates=len(xs),
         x_kept=kept,
@@ -853,5 +840,5 @@ def build_combing(
         warnings=warnings,
     )
     if central:
-        report.cprime_ft_sync = ft_bound_of_combing(cprime, o, "sync", ft_sample_len, ft_cap)
+        report.cprime_ft_sync = ft_bound_of_combing(cprime, o, "sync", FT_SAMPLE_LEN)
     return cprime, report

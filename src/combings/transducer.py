@@ -377,24 +377,13 @@ def enumerate_pairs(t: Transducer, max_total: int) -> list[tuple[Word, Word]]:
     are bucketed by |u| + |v|; (ε,ε) edges are closed away inside a bucket.
     """
     adj = t.adjacency()
-
-    def eclose(states: set[int]) -> frozenset[int]:
-        seen = set(states)
-        stack = list(states)
-        while stack:
-            p = stack.pop()
-            for (x, y), q in adj[p]:
-                if x is None and y is None and q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-        return frozenset(seen)
-
+    eps = nfa_mod._arrows(t.n, [e for e in t.edges if e[1] == t.EPS], True)
     buckets: list[dict[tuple, set[int]]] = [dict() for _ in range(max_total + 3)]
     buckets[0][((), ())] = {t.initial}
     out = []
     for total in range(max_total + 1):
         for (u, v), states in buckets[total].items():
-            reach = eclose(states)
+            reach = nfa_mod._search(eps, states)
             if reach & t.terminals:
                 out.append((u, v))
             for p in reach:

@@ -74,9 +74,6 @@ class Alphabet:
     def inverse_index(self, i: int) -> int:
         return self.inv[i]
 
-    def inverse_symbol(self, symbol: str) -> str:
-        return self.symbols[self.inv[self.index(symbol)]]
-
     def word(self, text: str) -> "Word":
         """Parse a word from single-character symbols.
 

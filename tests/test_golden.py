@@ -147,6 +147,28 @@ def s3_extract():
     return st.extract_generators(trie, o, max(depth)), o
 
 
+# The full BuildReport texts of the ℤ² central build and the S₃ build: the
+# suffix bound, the ball radius, the candidates and the kept suffixes.
+Z2_REPORT = """\
+K=2010 (vertices 503, edges 1506)
+core: 419 vertices, 1186 edges; C0 has 5 states
+fellow-traveler bound: empirical 2, used 4
+suffix bound 'AAAB'; 35 candidates, kept 1: ['ε']
+cayley ball radius 12; product 2717 states
+upto check: ok; balanced cycles: True; C0 contained in C': True
+C' has 6 states
+C' synchronous ft bound (sampled): 2"""
+
+S3_REPORT = """\
+K=814 (vertices 297, edges 516)
+core: 0 vertices, 0 edges; C0 has 1 states
+fellow-traveler bound: empirical 0, used 2
+suffix bound 'aB'; 6 candidates, kept 6: ['ε', 'a', 'b', 'B', 'ab', 'aB']
+cayley ball radius 6; product 1 states
+upto check: ok; balanced cycles: True; C0 contained in C': True
+C' has 24 states"""
+
+
 def _sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -194,6 +216,7 @@ def test_golden_z2():
         report.product_states,
         report.cprime_states,
     ) == (503, 419, 5, 35, 2717, 6)
+    assert str(report) == Z2_REPORT
 
 
 def test_golden_z2_extract():
@@ -214,6 +237,7 @@ def test_golden_s3_table_group():
     assert _sha256(fileformat.write(gens)) == S3_EXTRACT_SHA256
     cprime, report = st.build_combing(gens, o)
     assert report.cprime_states == 24
+    assert str(report) == S3_REPORT
     assert _sha256(fileformat.write(cprime)) == S3_CPRIME_SHA256
 
 

@@ -149,12 +149,3 @@ def test_invert_linear(rng, ab2):
         lin.invert_linear(LinearLanguage(t, "reversal"))
 
 
-def test_convert_mode(rng, ab2):
-    for _ in range(10):
-        t = random_transducer(rng, ab2, max_states=4)
-        l = LinearLanguage(t, "inverse")
-        r = lin.convert_mode(l, "reversal")
-        assert r.mode == "reversal"
-        assert lin.enumerate_members(r, 5) == lin.enumerate_members(l, 5)
-        assert lin.enumerate_members(lin.convert_mode(r, "inverse"), 5) == lin.enumerate_members(l, 5)
-        assert lin.convert_mode(l, "inverse") is l

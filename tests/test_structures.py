@@ -1,8 +1,12 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from combings import (
+    Alphabet,
     LinearLanguage,
     Nfa,
     SigWord,
@@ -14,6 +18,7 @@ from combings import (
     core_subgraph,
     extract_generators,
     ft_bound_of_combing,
+    free_reduce,
     invert_word,
     search_significant,
 )
@@ -76,6 +81,32 @@ def test_search_significant_validation(ab2):
         search_significant([ab2.word("")])
     with pytest.raises(ValueError):
         search_significant([ab2.word("aA")])
+
+
+AB2 = Alphabet.from_pairs([("a", "A"), ("b", "B")])
+_reduced_words = (
+    hst.lists(hst.integers(0, 3), min_size=1, max_size=5)
+    .map(lambda letters: free_reduce(AB2.word_of(AB2.symbols[i] for i in letters)))
+    .filter(len)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hst.lists(_reduced_words, min_size=1, max_size=3))
+def test_search_significant_against_every_assignment(words):
+    """search_significant finds marks exactly when some assignment of marks
+    to the distinct words passes check_significant, and what it finds
+    passes."""
+    distinct = list(dict.fromkeys(words))
+    exists = any(
+        check_significant([SigWord(w, i) for w, i in zip(distinct, marks)]) is None
+        for marks in itertools.product(*(range(1, len(w) + 1) for w in distinct))
+    )
+    found = search_significant(words)
+    assert (found is not None) == exists
+    if found is not None:
+        assert [sw.word for sw in found] == distinct
+        assert check_significant(found) is None
 
 
 def test_check_central(ab2):
@@ -152,14 +183,44 @@ def test_core_subgraph_acyclic(ab2):
     assert core_e == frozenset()
 
 
+def _reach(t):
+    """reach[v]: the vertices at the end of a path of one or more edges
+    from v."""
+    reach = [{d for s, _lab, d in t.edges if s == v} for v in range(t.n)]
+    changed = True
+    while changed:
+        changed = False
+        for v in range(t.n):
+            grown = reach[v].union(*(reach[u] for u in reach[v]))
+            if grown != reach[v]:
+                reach[v], changed = grown, True
+    return reach
+
+
 def test_core_subgraph_property(rng, ab2):
-    for _ in range(20):
-        t = random_transducer(rng, ab2)
+    """v is in the core exactly when some vertex reachable from v (v
+    included) reaches itself in one or more steps."""
+    seen_kinds = set()
+    for i in range(60):
+        if i % 3 == 0:
+            t = random_transducer(rng, ab2)
+        else:
+            # acyclic: edges only from lower to higher vertices; then, on
+            # every other one, self-loops
+            n = rng.randint(1, 7)
+            edges = [
+                (s, (0, 1), d) for s in range(n) for d in range(s + 1, n) if rng.random() < 0.4
+            ]
+            if i % 3 == 2:
+                edges += [(v, (2, None), v) for v in range(n) if rng.random() < 0.3]
+            t = Transducer(ab2, n, edges, 0, [n - 1])
+        reach = _reach(t)
+        want = {v for v in range(t.n) if any(u in reach[u] for u in reach[v] | {v})}
+        seen_kinds.add((bool(want), want == set(range(t.n))))
         core_v, core_e = core_subgraph(t)
-        for e in t.edges:
-            assert (e in core_e) == (e[2] in core_v)
-            if e[2] in core_v:
-                assert e[0] in core_v
+        assert core_v == want
+        assert core_e == {e for e in t.edges if e[2] in want}
+    assert seen_kinds == {(False, False), (True, False), (True, True)}
 
 
 def test_extract_generators_z_conjugates(z_conj_oracle):
@@ -195,7 +256,6 @@ def test_build_combing_z(z_generators, z_conj_oracle):
     assert report.balanced_cycles
     assert report.c0_contained
     assert report.cprime_ft_sync == 1
-    assert report.ft_structural == 6 * report.K
     rep = check_combing(cprime, z_conj_oracle, ball_radius=8, maxlen=8)
     assert rep.passed
 

@@ -19,7 +19,6 @@ def test_alphabet_basics(ab2):
     assert ab2.index("b") == 2
     assert ab2.inverse_index(0) == 1
     assert ab2.inverse_index(1) == 0
-    assert ab2.inverse_symbol("B") == "b"
 
 
 def test_alphabet_rejects_bad_involutions():
