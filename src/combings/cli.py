@@ -52,6 +52,15 @@ def _shown(w: Word) -> str:
     return str(w) or "ε"
 
 
+def _nonnegative(text: str) -> int:
+    """argparse type for counts and radii; argparse names the option in
+    the usage error and exits with code 2."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, not {n}")
+    return n
+
+
 # ------------------------------------------------------------------ verbs
 
 
@@ -249,32 +258,32 @@ def _parser() -> argparse.ArgumentParser:
 
     enum = sub.add_parser("enum", help="enumerate words, pairs, or members")
     enum.add_argument("input")
-    enum.add_argument("--maxlen", type=int, required=True)
+    enum.add_argument("--maxlen", type=_nonnegative, required=True)
     enum.set_defaults(func=_run_enum)
 
     cc = sub.add_parser("check-combing", help="verify combing properties on a ball")
     cc.add_argument("input")
     cc.add_argument("--oracle", required=True)
-    cc.add_argument("--radius", type=int, required=True)
-    cc.add_argument("--maxlen", type=int, required=True)
+    cc.add_argument("--radius", type=_nonnegative, required=True)
+    cc.add_argument("--maxlen", type=_nonnegative, required=True)
     cc.set_defaults(func=_run_check_combing)
 
     sig = sub.add_parser("sig-check", help="check or search significant letters")
     sig.add_argument("input")
-    sig.add_argument("--maxlen", type=int, required=True)
+    sig.add_argument("--maxlen", type=_nonnegative, required=True)
     sig.add_argument("--search", action="store_true")
     sig.set_defaults(func=_run_sig_check)
 
     cen = sub.add_parser("central-check", help="centrality of significant letters")
     cen.add_argument("input")
-    cen.add_argument("--maxlen", type=int, required=True)
-    cen.add_argument("--k", type=int)
+    cen.add_argument("--maxlen", type=_nonnegative, required=True)
+    cen.add_argument("--k", type=_nonnegative)
     cen.set_defaults(func=_run_central_check)
 
     ext = sub.add_parser("extract", help="generators of the kernel from a combing")
     ext.add_argument("input")
     ext.add_argument("--oracle", required=True)
-    ext.add_argument("--ft", type=int, required=True)
+    ext.add_argument("--ft", type=_nonnegative, required=True)
     ext.add_argument("--out")
     ext.set_defaults(func=_run_extract)
 
@@ -290,7 +299,7 @@ def _parser() -> argparse.ArgumentParser:
     ftb.add_argument("input")
     ftb.add_argument("--oracle", required=True)
     ftb.add_argument("--mode", choices=["sync", "async"], required=True)
-    ftb.add_argument("--maxlen", type=int, required=True)
+    ftb.add_argument("--maxlen", type=_nonnegative, required=True)
     ftb.set_defaults(func=_run_ft_bound)
 
     return p

@@ -335,17 +335,29 @@ def ft_bound_of_combing(c: Nfa, o: GroupOracle, mode: str, maxlen: int) -> Optio
     """Empirical fellow-traveler bound: the max ft_distance over enumerated
     member pairs whose images lie at distance <= 1 in the group.  Sampled:
     only the first FT_MAX_MEMBERS members up to length maxlen are paired.
-    None when some pair exceeds FT_CAP (no bound established)."""
+    None when some pair exceeds FT_CAP (no bound established).
+
+    Cost: one element lookup per member and letter (the images at distance
+    <= 1 from e are e and e·ā), then ft_distance on each adjacent pair."""
+    if mode not in ("sync", "async"):
+        raise ValueError(f"mode must be 'sync' or 'async', not {mode!r}")
+    if maxlen < 0:
+        raise ValueError(f"maxlen must be nonnegative, not {maxlen}")
     members = nfa_mod.enumerate_words(c, maxlen)[:FT_MAX_MEMBERS]
-    elems = [(w, o.element(w)) for w in members]
-    inverses = [o.inv_element(e) for _w, e in elems]
+    elems = [o.element(w) for w in members]
+    at: dict = {}
+    for i, e in enumerate(elems):
+        at.setdefault(e, []).append(i)
+    steps = [o.letter_element(a) for a in range(len(o.alphabet))]
     worst = 0
-    for i, (u, _eu) in enumerate(elems):
-        for v, ev in elems[i + 1 :]:
-            d = o.distance_from_identity(o.mul(inverses[i], ev), 1)
-            if d is None or d > 1:
+    for i, e in enumerate(elems):
+        near = set(at[e])
+        for s in steps:
+            near.update(at.get(o.mul(e, s), ()))
+        for j in sorted(near):
+            if j <= i:
                 continue
-            f = ft_distance(o, mode, u, v, FT_CAP)
+            f = ft_distance(o, mode, members[i], members[j], FT_CAP)
             if f is None:
                 return None
             worst = max(worst, f)

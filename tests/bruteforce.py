@@ -11,6 +11,7 @@ from itertools import product
 
 from combings import LinearLanguage, Nfa, Transducer, Word
 from combings import nfa as nfa_mod
+from combings import structures
 from combings import transducer as td
 
 
@@ -278,6 +279,27 @@ def rectangle_product_unpruned(t, r, mode):
         if s in remap and d in remap
     }
     return [keys[i] for i in order], edges, remap[both.initial]
+
+
+def ft_bound_all_pairs(c, o, mode, maxlen):
+    """ft_bound_of_combing by testing every pair of sampled members for
+    adjacency: d(ē_u⁻¹·ē_v) <= 1 by the oracle's own distance.  Reads
+    FT_MAX_MEMBERS, FT_CAP and ft_distance from structures at call time, so
+    a patch there applies to both."""
+    members = nfa_mod.enumerate_words(c, maxlen)[: structures.FT_MAX_MEMBERS]
+    elems = [(w, o.element(w)) for w in members]
+    inverses = [o.inv_element(e) for _w, e in elems]
+    worst = 0
+    for i, (u, _eu) in enumerate(elems):
+        for v, ev in elems[i + 1 :]:
+            d = o.distance_from_identity(o.mul(inverses[i], ev), 1)
+            if d is None or d > 1:
+                continue
+            f = structures.ft_distance(o, mode, u, v, structures.FT_CAP)
+            if f is None:
+                return None
+            worst = max(worst, f)
+    return worst
 
 
 def concat_sets(xs, ys, maxlen):

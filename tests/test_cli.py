@@ -4,6 +4,7 @@ from combings import AbelianOracle, Alphabet, LinearLanguage, Nfa, Transducer
 from combings import fileformat as ff
 from combings import nfa as nfa_mod
 from combings import transducer as td
+from combings import cli
 from combings.cli import main
 from bruteforce import pairs_of_transducer
 
@@ -276,3 +277,37 @@ def test_missing_file_exit_code(tmp_path, capsys):
 def test_unknown_verb_is_systemexit():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["enum", "c.nfa", "--maxlen", "-1"], "--maxlen"),
+        (["check-combing", "c.nfa", "--oracle", "z.oracle", "--radius", "2", "--maxlen", "-1"], "--maxlen"),
+        (["check-combing", "c.nfa", "--oracle", "z.oracle", "--radius", "-1", "--maxlen", "4"], "--radius"),
+        (["sig-check", "gen.fst", "--maxlen", "-1"], "--maxlen"),
+        (["central-check", "gen.fst", "--maxlen", "-1"], "--maxlen"),
+        (["central-check", "gen.fst", "--maxlen", "4", "--k", "-1"], "--k"),
+        (["extract", "c.nfa", "--oracle", "z.oracle", "--ft", "-1"], "--ft"),
+        (["ft-bound", "c.nfa", "--oracle", "z.oracle", "--mode", "sync", "--maxlen", "-1"], "--maxlen"),
+    ],
+)
+def test_negative_count_is_usage_error(tmp_path, monkeypatch, capsys, argv, option):
+    """A negative length bound, radius, ft bound or k is refused with the
+    usage-error code before any input file is read, and the message names
+    the option."""
+    files = {
+        "c.nfa": _write(tmp_path, "c.nfa", Nfa(AB1, 1, [(0, 0, 0), (0, 1, 0)], 0, [0])),
+        "z.oracle": _write(tmp_path, "z.oracle", AbelianOracle(AB1, 1, {"a": [1]})),
+        "gen.fst": _write(tmp_path, "gen.fst", td.from_pairs(AB, [(AB.word("ab"), AB.word(""))])),
+    }
+
+    def no_read(path):
+        raise AssertionError(f"{path} was read before the arguments were checked")
+
+    monkeypatch.setattr(cli, "parse_file", no_read)
+    with pytest.raises(SystemExit) as exc:
+        main([files.get(a, a) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: must be nonnegative, not -1" in err

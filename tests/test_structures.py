@@ -1,12 +1,17 @@
+import importlib.util
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from combings import (
+    AbelianOracle,
     Alphabet,
+    FiniteOracle,
+    FreeOracle,
     LinearLanguage,
     Nfa,
     SigWord,
@@ -24,8 +29,9 @@ from combings import (
 )
 from combings import linear as lin
 from combings import nfa as nfa_mod
+from combings import structures
 from combings import transducer as td
-from bruteforce import random_transducer
+from bruteforce import ft_bound_all_pairs, random_transducer
 
 
 def test_sigword_validation(ab2):
@@ -167,6 +173,139 @@ def test_ft_bound_of_combing(ab1, z_oracle):
     )
     assert ft_bound_of_combing(c, z_oracle, "sync", 5) == 1
     assert ft_bound_of_combing(c, z_oracle, "async", 5) == 1
+
+
+def test_ft_bound_of_combing_rejects_bad_arguments(ab1, z_oracle):
+    c = Nfa(ab1, 1, [(0, 0, 0), (0, 1, 0)], 0, [0])
+    with pytest.raises(ValueError, match="mode"):
+        ft_bound_of_combing(c, z_oracle, "bogus", 0)
+    with pytest.raises(ValueError, match="maxlen"):
+        ft_bound_of_combing(c, z_oracle, "sync", -1)
+
+
+def _reference_module():
+    """bench/reference.py, which builds the benchmark's finite tables."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+REF = _reference_module()
+AB1 = Alphabet.from_pairs([("a", "A")])
+
+
+@hst.composite
+def _oracles(draw, ab):
+    """A free, abelian (L1 or not) or finite-table oracle over ab; the
+    second letter's image may be the identity or equal the first's."""
+    positive = ab.symbols[::2]
+    kind = draw(hst.sampled_from(["free", "l1", "weighted", "table"]))
+    if kind == "free":
+        return FreeOracle(ab)
+    if kind in ("l1", "weighted"):
+        rank = draw(hst.integers(1, 2))
+        if kind == "l1":
+            units = [(0,) * rank] + [
+                tuple(s * (k == i) for k in range(rank)) for i in range(rank) for s in (1, -1)
+            ]
+            vec = hst.sampled_from(units)
+        else:
+            vec = hst.tuples(*[hst.integers(-2, 2)] * rank)
+        weights = {sym: draw(vec) for sym in positive}
+        return AbelianOracle(ab, rank, weights)
+    degree = draw(hst.integers(2, 4))
+    gens = draw(hst.lists(hst.permutations(range(degree)).map(tuple), min_size=1, max_size=2))
+    table, _ = REF.perm_table(gens)
+    table, _ = REF.relabel(table, [], draw(hst.randoms(use_true_random=False)))
+    n = len(table)
+    first = draw(hst.integers(0, n - 1))
+    images = [first] + [
+        draw(hst.one_of(hst.just(first), hst.just(0), hst.integers(0, n - 1)))
+        for _ in positive[1:]
+    ]
+    return FiniteOracle(ab, table, dict(zip(positive, images)))
+
+
+@hst.composite
+def _nfas(draw, ab):
+    """An NFA with up to four states, ε edges allowed; half of them accept
+    at every state."""
+    n = draw(hst.integers(1, 4))
+    state = hst.integers(0, n - 1)
+    label = hst.one_of(hst.integers(0, len(ab) - 1), hst.none())
+    edges = draw(hst.lists(hst.tuples(state, label, state), min_size=n, max_size=3 * n + 3))
+    terms = draw(hst.one_of(hst.just(range(n)), hst.sets(state, min_size=1)))
+    return Nfa(ab, n, edges, 0, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.data())
+def test_ft_bound_of_combing_matches_all_pairs(data):
+    """Pairing members by group element measures the same pairs as testing
+    every member pair for adjacency, so the bound is the same."""
+    ab = data.draw(hst.sampled_from([AB1, AB2]))
+    c = data.draw(_nfas(ab))
+    o = data.draw(_oracles(ab))
+    mode = data.draw(hst.sampled_from(["sync", "async"]))
+    maxlen = data.draw(hst.integers(1, 5 if ab is AB1 else 3))
+    assert ft_bound_of_combing(c, o, mode, maxlen) == ft_bound_all_pairs(c, o, mode, maxlen)
+
+
+def test_ft_bound_of_combing_over_the_cap(slex_z2, z2_oracle, monkeypatch):
+    """With FT_CAP below the sync bound 2 of the ℤ² shortlex combing, the
+    first pair at distance 2 makes both the lookup and the all-pairs loop
+    answer None."""
+    assert ft_bound_of_combing(slex_z2, z2_oracle, "sync", 4) == 2
+    monkeypatch.setattr(structures, "FT_CAP", 1)
+    assert ft_bound_of_combing(slex_z2, z2_oracle, "sync", 4) is None
+    assert ft_bound_all_pairs(slex_z2, z2_oracle, "sync", 4) is None
+
+
+class _CountingAbelian(AbelianOracle):
+    """Counts the mul and distance_from_identity calls made while
+    `counting` is set."""
+
+    counting = True
+    calls = 0
+
+    def mul(self, e, f):
+        self.calls += self.counting
+        return super().mul(e, f)
+
+    def distance_from_identity(self, e, cap=None):
+        self.calls += self.counting
+        return super().distance_from_identity(e, cap)
+
+
+def test_ft_bound_of_combing_work_is_linear_in_members(monkeypatch):
+    """On the ℤ³ shortlex combing (377 members up to length 6) the pairing
+    costs at most one product per member and letter plus one more per
+    member; the calls inside ft_distance, which measures the adjacent
+    pairs, are not counted.  Testing every pair, as the all-pairs loop
+    does, takes about 70 000 products."""
+    ab = Alphabet.from_pairs([("a", "A"), ("b", "B"), ("c", "C")])
+    o = _CountingAbelian(ab, 3, {"a": [1, 0, 0], "b": [0, 1, 0], "c": [0, 0, 1]})
+    n, edges = REF.shortlex_abelian_edges(3)
+    slex = Nfa(ab, n, edges, 0, range(n))
+    ft_distance = structures.ft_distance
+
+    def uncounted(*args):
+        o.counting = False
+        try:
+            return ft_distance(*args)
+        finally:
+            o.counting = True
+
+    monkeypatch.setattr(structures, "ft_distance", uncounted)
+    members = len(nfa_mod.enumerate_words(slex, 6))
+    budget = members * (len(ab) + 1)
+    assert ft_bound_of_combing(slex, o, "sync", 6) == 2
+    assert o.calls <= budget
+    o.calls = 0
+    assert ft_bound_all_pairs(slex, o, "sync", 6) == 2
+    assert o.calls > budget
 
 
 def test_core_subgraph_loop_and_tail(ab2):

@@ -1,8 +1,10 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from combings import Nfa, Transducer, Word
+from combings import Alphabet, Nfa, Transducer, Word
 from combings import nfa as nfa_mod
 from combings import transducer as td
 from bruteforce import (
@@ -20,6 +22,17 @@ from bruteforce import (
 
 def _accepts_pair(t, u, v):
     return td._pair_path(t, u, v, len(u) + len(v)) is not None
+
+
+def _assert_spells(t, path, u, v):
+    """path is a chain of t's edges from the initial vertex to a terminal
+    whose tapes spell u and v."""
+    assert all(e in t.edges for e in path)
+    ends = [t.initial] + [d for _s, _lab, d in path]
+    assert [s for s, _lab, _d in path] == ends[:-1]
+    assert ends[-1] in t.terminals
+    assert Word(t.alphabet, [lab[0] for _s, lab, _d in path if lab[0] is not None]) == u
+    assert Word(t.alphabet, [lab[1] for _s, lab, _d in path if lab[1] is not None]) == v
 
 
 def test_constructor_validation(ab2):
@@ -77,17 +90,29 @@ def test_pair_path_spells_the_pair(rng, ab2):
         t = random_transducer(rng, ab2, max_states=4)
         want = pairs_of_transducer(t, 5)
         for u, v in want:
-            path = td._pair_path(t, u, v, len(u) + len(v))
-            assert all(e in t.edges for e in path)
-            ends = [t.initial] + [d for _s, _lab, d in path]
-            assert [s for s, _lab, _d in path] == ends[:-1]
-            assert ends[-1] in t.terminals
-            assert Word(ab2, [lab[0] for _s, lab, _d in path if lab[0] is not None]) == u
-            assert Word(ab2, [lab[1] for _s, lab, _d in path if lab[1] is not None]) == v
+            _assert_spells(t, td._pair_path(t, u, v, len(u) + len(v)), u, v)
         for u in words_upto(ab2, 2):
             for v in words_upto(ab2, 2):
                 if (u, v) not in want:
                     assert td._pair_path(t, u, v, len(u) + len(v)) is None
+
+
+AB2 = Alphabet.from_pairs([("a", "A"), ("b", "B")])
+WORDS_UPTO_2 = words_upto(AB2, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hst.randoms(use_true_random=False), hst.integers(1, 5))
+def test_pair_path_against_bruteforce(rnd, max_states):
+    """_pair_path finds a path exactly for the pairs the brute-force
+    saturation accepts, and every path it finds spells its pair."""
+    t = random_transducer(rnd, AB2, max_states=max_states)
+    want = pairs_of_transducer(t, 5)
+    for u, v in want:
+        _assert_spells(t, td._pair_path(t, u, v, len(u) + len(v)), u, v)
+    for u in WORDS_UPTO_2:
+        for v in WORDS_UPTO_2:
+            assert _accepts_pair(t, u, v) == ((u, v) in want)
 
 
 def test_trim_preserves_pairs(rng, ab2):
