@@ -291,7 +291,7 @@ def _parser() -> argparse.ArgumentParser:
     bld.add_argument("input")
     bld.add_argument("--oracle", required=True)
     bld.add_argument("--central", action="store_true")
-    bld.add_argument("--margin", type=int, default=2)
+    bld.add_argument("--margin", type=_nonnegative, default=2)
     bld.add_argument("--out")
     bld.set_defaults(func=_run_build)
 

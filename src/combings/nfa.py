@@ -6,9 +6,11 @@ are letter indices; transducer labels are pairs of them (transducer
 module).  Either way one label, None or (None, None), is epsilon.  The
 operations that ignore what a label means (trim, union, concatenation,
 relabelling, breadth-first renumbering) are written once here against
-Automaton and build the input's own class.  Fresh ids are allocated
-monotonically by the combining constructions.  Automata are immutable once
-built, so they are safe to share; every operation returns a new automaton.
+Automaton and build the input's own class.  Every product construction
+(subset constructions, pair products, renumbering) numbers its vertices
+through _explore, the one numbering policy: breadth-first discovery order.
+Automata are immutable once built, so they are safe to share; every
+operation returns a new automaton.
 """
 
 from __future__ import annotations
@@ -142,6 +144,23 @@ def _search(adj: list[list[int]], starts: Iterable[int]) -> set[int]:
                 seen.add(q)
                 stack.append(q)
     return seen
+
+
+def _explore(start, moves) -> tuple[list, list[tuple]]:
+    """Breadth-first closure of start under moves(key), a list of
+    (label, key).  Returns the keys in discovery order, key i being vertex
+    i, and the edges (i, label, j) in move order."""
+    ids = {start: 0}
+    keys = [start]
+    edges: list[tuple] = []
+    for i, key in enumerate(keys):  # the list grows while it is walked
+        for lab, nxt in moves(key):
+            j = ids.get(nxt)
+            if j is None:
+                j = ids[nxt] = len(keys)
+                keys.append(nxt)
+            edges.append((i, lab, j))
+    return keys, edges
 
 
 def trim(a: A) -> A:
@@ -291,30 +310,19 @@ def enumerate_words(a: Nfa, maxlen: int) -> list[Word]:
 
 
 def _dfa(a: Nfa):
-    """Subset construction.  Returns (start_id, transitions, accepting) where
-    transitions[state][letter] is a state id and missing entries are the dead
-    state (id -1)."""
-    start = eps_closure(a, [a.initial])
-    ids: dict[frozenset[int], int] = {start: 0}
-    trans: list[list[int]] = []
-    accepting: list[bool] = []
-    queue = deque([start])
+    """Subset construction.  Returns (transitions, accepting) where
+    transitions[state][letter] is a state id, state 0 is the start and
+    missing entries are the dead state (id -1)."""
     k = len(a.alphabet)
-    while queue:
-        s = queue.popleft()
-        row = []
-        for x in range(k):
-            t = step(a, s, x)
-            if not t:
-                row.append(-1)
-                continue
-            if t not in ids:
-                ids[t] = len(ids)
-                queue.append(t)
-            row.append(ids[t])
-        trans.append(row)
-        accepting.append(bool(s & a.terminals))
-    return 0, trans, accepting
+
+    def moves(s):
+        return [(x, t) for x in range(k) if (t := step(a, s, x))]
+
+    subsets, edges = _explore(eps_closure(a, [a.initial]), moves)
+    trans = [[-1] * k for _ in subsets]
+    for s, x, d in edges:
+        trans[s][x] = d
+    return trans, [bool(s & a.terminals) for s in subsets]
 
 
 def difference_witness(a: Nfa, b: Nfa) -> Optional[Word]:
@@ -323,15 +331,15 @@ def difference_witness(a: Nfa, b: Nfa) -> Optional[Word]:
     constructions; the dead state is implicit."""
     if a.alphabet != b.alphabet:
         raise ValueError("automata over different alphabets")
-    sa, ta, fa = _dfa(a)
-    sb, tb, fb = _dfa(b)
+    ta, fa = _dfa(a)
+    tb, fb = _dfa(b)
     k = len(a.alphabet)
 
     def acc(side, s):
         return s >= 0 and side[s]
 
-    seen = {(sa, sb)}
-    queue = deque([(sa, sb, ())])
+    seen = {(0, 0)}
+    queue = deque([(0, 0, ())])
     while queue:
         pa, pb, word = queue.popleft()
         if acc(fa, pa) != acc(fb, pb):
@@ -362,29 +370,15 @@ def _subset_product(a: Nfa, b: Nfa):
     where a dies are not followed."""
     if a.alphabet != b.alphabet:
         raise ValueError("automata over different alphabets")
-    sa, ta, fa = _dfa(a)
-    start = (sa, eps_closure(b, [b.initial]))
-    ids: dict[tuple[int, frozenset[int]], int] = {start: 0}
-    a_accepts = [fa[sa]]
-    b_subsets = [start[1]]
-    edges: list[Edge] = []
-    queue = deque([start])
-    k = len(a.alphabet)
-    while queue:
-        pa, pb = queue.popleft()
-        me = ids[(pa, pb)]
-        for x in range(k):
-            qa = ta[pa][x]
-            if qa == -1:
-                continue  # nothing of L(a) survives down this branch
-            key = (qa, step(b, pb, x))
-            if key not in ids:
-                ids[key] = len(ids)
-                a_accepts.append(fa[qa])
-                b_subsets.append(key[1])
-                queue.append(key)
-            edges.append((me, x, ids[key]))
-    return edges, a_accepts, b_subsets
+    ta, fa = _dfa(a)
+
+    def moves(key):
+        pa, pb = key
+        # nothing of L(a) survives down a branch where a dies
+        return [(x, (qa, step(b, pb, x))) for x, qa in enumerate(ta[pa]) if qa != -1]
+
+    keys, edges = _explore((0, eps_closure(b, [b.initial])), moves)
+    return edges, [fa[pa] for pa, _pb in keys], [pb for _pa, pb in keys]
 
 
 def difference(a: Nfa, b: Nfa) -> Nfa:
@@ -399,7 +393,7 @@ def minimize(a: Nfa) -> Nfa:
     """Minimal deterministic automaton for the language, without epsilon
     edges.  Subset construction followed by partition refinement; missing
     transitions reject, so the dead state never materializes."""
-    _start, trans, acc = _dfa(a)
+    trans, acc = _dfa(a)
     n = len(trans)
     k = len(a.alphabet)
     if all(acc) or not any(acc):
@@ -430,7 +424,7 @@ def minimize(a: Nfa) -> Nfa:
         if trans[s][x] != -1
     }
     terms = {block[s] for s in range(n) if acc[s]}
-    return trim(Nfa(a.alphabet, nblocks, edges, block[_start], terms))
+    return trim(Nfa(a.alphabet, nblocks, edges, block[0], terms))
 
 
 def freely_reduced_lang(alphabet: Alphabet, include_empty: bool = True) -> Nfa:
@@ -489,17 +483,9 @@ def renumber_bfs(a: A) -> A:
     ordered epsilon first then by label key then by old target id.
     Unreachable vertices keep their relative order after the reachable part."""
     adj = _sorted_adjacency(a)
-    order: list[int] = []
-    seen = {a.initial}
-    queue = deque([a.initial])
-    while queue:
-        p = queue.popleft()
-        order.append(p)
-        for _key, q, _lab in adj[p]:
-            if q not in seen:
-                seen.add(q)
-                queue.append(q)
-    order.extend(p for p in range(a.n) if p not in seen)
+    order, _edges = _explore(a.initial, lambda p: [(lab, q) for _key, q, lab in adj[p]])
+    reached = set(order)
+    order.extend(p for p in range(a.n) if p not in reached)
     remap = {old: new for new, old in enumerate(order)}
     edges = [(remap[s], lab, remap[d]) for s, lab, d in a.edges]
     return type(a)(a.alphabet, a.n, edges, remap[a.initial], [remap[t] for t in a.terminals])

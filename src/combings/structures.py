@@ -9,7 +9,6 @@ prefix-closed combing with uniqueness.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -401,15 +400,9 @@ def _first_tape_core(t: Transducer, core_v: frozenset[int], core_e) -> Nfa:
     return Nfa(t.alphabet, len(order), edges, remap[t.initial], range(len(order)))
 
 
-def _tail_data(
-    t: Transducer,
-    core_v: frozenset[int],
-    core_e,
-    o: GroupOracle,
-):
+def _tail_classes(t: Transducer, core_v: frozenset[int], core_e, o: GroupOracle) -> set:
     """Group classes of the word tails that successful paths append beyond
-    the core, with a length bound good enough to locate each class by a
-    ball search.
+    the core.
 
     A tail is a prefix of x1·y1^-1 where (x1, y1) labels an off-core path
     suffix.  The first-tape prefixes are collected exactly.  The mixed
@@ -418,84 +411,46 @@ def _tail_data(
     of merging paths mix), which only enlarges the candidate set.
     """
     e0 = o.identity_element()
-    starts = []
-    if core_v:
-        for s, lab, d in t.edges:
-            if s in core_v and (s, lab, d) not in core_e:
-                starts.append((d, lab))
-    else:
-        starts.append((t.initial, None))
 
-    def apply(lab, ex, ey):
+    def apply(lab, q, ex, ey):
         x, y = lab
-        ex2 = ex if x is None else o.mul_right(ex, x)
-        ey2 = ey if y is None else o.mul_right(ey, y)
-        lx = 0 if x is None else 1
-        ly = 0 if y is None else 1
-        return ex2, ey2, lx, ly
+        return (q, ex if x is None else o.mul_right(ex, x), ey if y is None else o.mul_right(ey, y))
 
-    # BFS over (vertex, x-class, y-class); lengths recorded at first visit
-    best: dict[tuple, tuple[int, int]] = {}
+    # states (vertex, x-class, y-class), each with its predecessor states
     pred: dict[tuple, list[tuple]] = {}
-    queue = deque()
+    stack: list[tuple] = []
 
-    def visit(key, lx, ly):
-        if key not in best:
-            best[key] = (lx, ly)
+    def visit(key) -> list[tuple]:
+        if key not in pred:
             pred[key] = []
-            queue.append(key)
-            if len(best) > DEFAULT_BALL_CAP:
+            stack.append(key)
+            if len(pred) > DEFAULT_BALL_CAP:
                 raise RuntimeError(
                     f"tail search exceeded {DEFAULT_BALL_CAP} states; "
                     "the off-core part is too wide"
                 )
+        return pred[key]
 
-    for d, lab in starts:
-        if lab is None:
-            visit((d, e0, e0), 0, 0)
-        else:
-            ex, ey, lx, ly = apply(lab, e0, e0)
-            visit((d, ex, ey), lx, ly)
+    if core_v:
+        for s, lab, d in t.edges:
+            if s in core_v and (s, lab, d) not in core_e:
+                visit(apply(lab, d, e0, e0))
+    else:
+        visit((t.initial, e0, e0))
     adj = t.adjacency()
-    while queue:
-        key = queue.popleft()
+    while stack:
+        key = stack.pop()
         v, ex, ey = key
-        lx, ly = best[key]
         for lab, q in adj[v]:
-            ex2, ey2, dx, dy = apply(lab, ex, ey)
-            key2 = (q, ex2, ey2)
-            visit(key2, lx + dx, ly + dy)
-            pred[key2].append(key)
+            visit(apply(lab, q, ex, ey)).append(key)
 
-    classes: dict = {e0: 0}  # class -> representative word-length bound
-
-    def note(cls, bound):
-        if cls not in classes or bound < classes[cls]:
-            classes[cls] = bound
-
-    for (_v, ex, _ey), (lx, _ly) in best.items():
-        note(ex, lx)
-    for fkey in best:
-        if fkey[0] not in t.terminals:
-            continue
-        _fv, fex, fey = fkey
-        flx, fly = best[fkey]
-        base = o.mul(fex, o.inv_element(fey))
-        # head classes among the ancestors of this accepting state
-        cone = {fkey}
-        stack = [fkey]
-        while stack:
-            for p in pred[stack.pop()]:
-                if p not in cone:
-                    cone.add(p)
-                    stack.append(p)
-        heads: dict = {e0: 0}
-        for (_v2, _ex2, ey2) in cone:
-            ly2 = best[(_v2, _ex2, ey2)][1]
-            if ey2 not in heads or ly2 < heads[ey2]:
-                heads[ey2] = ly2
-        for hy, lh in heads.items():
-            note(o.mul(base, hy), flx + fly + lh)
+    classes = {e0} | {ex for _v, ex, _ey in pred}
+    for fkey in pred:
+        fv, fex, fey = fkey
+        if fv in t.terminals:
+            base = o.mul(fex, o.inv_element(fey))
+            heads = {e0} | {ey for _v, _ex, ey in nfa_mod._search(pred, [fkey])}
+            classes.update(o.mul(base, hy) for hy in heads)
     return classes
 
 
@@ -503,46 +458,32 @@ def _tail_data(
 
 
 def _pair_product(c1: Nfa, c2: Nfa, o: GroupOracle, bl: CayleyBall):
-    """Reachable product of two word automata with a Cayley-ball tracker:
-    states (p, q, h) with h the class of u^-1·v for the prefixes read so
-    far.  Returns the transducer (no terminals set) plus the state list."""
+    """Reachable product of two word automata without ε edges with a
+    Cayley-ball tracker: states (p, q, h) with h the class of u^-1·v for
+    the prefixes read so far.  Returns the transducer (no terminals set)
+    plus the state list."""
     if c1.alphabet != c2.alphabet:
         raise ValueError("different alphabets")
     inv = c1.alphabet.inv
     a1 = c1.adjacency()
     a2 = c2.adjacency()
-    e0 = o.identity_element()
-    ids: dict[tuple, int] = {}
-    statelist: list[tuple] = []
-    edges = []
-    queue = deque()
 
-    def sid(p, q, h):
-        key = (p, q, h)
-        if key not in ids:
-            ids[key] = len(statelist)
-            statelist.append(key)
-            queue.append(key)
-        return ids[key]
-
-    start = sid(c1.initial, c2.initial, e0)
-    while queue:
-        p, q, h = queue.popleft()
-        me = ids[(p, q, h)]
-        moves1 = [(x, p2) for x, p2 in a1[p]] + [(None, p)]
-        moves2 = [(y, q2) for y, q2 in a2[q]] + [(None, q)]
-        for i1, (x, p2) in enumerate(moves1):
-            stay1 = i1 == len(moves1) - 1
+    def moves(key):
+        p, q, h = key
+        moves2 = a2[q] + [(None, q)]
+        out = []
+        for x, p2 in a1[p] + [(None, p)]:
             h1 = h if x is None else o.mul_left(inv[x], h)
-            for i2, (y, q2) in enumerate(moves2):
-                stay2 = i2 == len(moves2) - 1
-                if stay1 and stay2:
-                    continue
+            for y, q2 in moves2:
+                if x is None and y is None:
+                    continue  # every move reads a letter
                 h2 = h1 if y is None else o.mul_right(h1, y)
                 if h2 in bl.dist:
-                    edges.append((me, (x, y), sid(p2, q2, h2)))
-    t = Transducer(c1.alphabet, len(statelist), edges, start, [])
-    return t, statelist
+                    out.append(((x, y), (p2, q2, h2)))
+        return out
+
+    statelist, edges = nfa_mod._explore((c1.initial, c2.initial, o.identity_element()), moves)
+    return Transducer(c1.alphabet, len(statelist), edges, 0, []), statelist
 
 
 def extract_generators(c: Nfa, o: GroupOracle, ft_bound: int) -> LinearLanguage:
@@ -715,9 +656,18 @@ def build_combing(
     C0 and, for a central build, of C' are ft_bound_of_combing over members
     up to length FT_SAMPLE_LEN (at most FT_MAX_MEMBERS, distances up to
     FT_CAP).
+
+    The tail radius, the largest distance of a tail class from the
+    identity, is asked of the oracle without a cap: a tail class is always
+    in the image, so only a non-L1 abelian oracle searches, growing its
+    cached ball until the class appears, and a class beyond
+    DEFAULT_BALL_CAP elements fails the build.  A negative margin is
+    refused before any stage runs.
     """
     if l.mode != "inverse":
         raise ValueError("build_combing expects the u·v^-1 convention")
+    if margin < 0:
+        raise ValueError(f"margin must be nonnegative, not {margin}")
     alphabet = l.t.alphabet
     warnings: list[str] = []
 
@@ -776,13 +726,14 @@ def build_combing(
         )
     k_used = ft_emp + margin
 
-    tail_classes = _tail_data(t, core_v, core_e, o)
-    max_bound = max(tail_classes.values())
+    tail_classes = _tail_classes(t, core_v, core_e, o)
     radius = 0
     for cls in tail_classes:
-        d = o.distance_from_identity(cls, max_bound)
+        d = o.distance_from_identity(cls)
         if d is None:
-            raise RuntimeError("tail class escaped its own length bound")
+            raise RuntimeError(
+                f"a tail class lies outside the {DEFAULT_BALL_CAP}-element distance ball"
+            )
         radius = max(radius, d)
     # A breadth-first ball gives an element the same shortlex-least
     # representative at every radius that holds it, so the suffix

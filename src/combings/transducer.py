@@ -130,37 +130,29 @@ def _product_side(
     """
     if t.alphabet != r.alphabet:
         raise ValueError("different alphabets")
-    radj = nfa_mod._sorted_adjacency(r)
     tadj = nfa_mod._sorted_adjacency(t)
-    ids: dict[tuple[int, int], int] = {}
-    keys: list[tuple[int, int]] = []
-    edges: list[TEdge] = []
-
-    def add(me: int, lab: Label, p: int, q: int) -> None:
-        key = (p, q)
-        d = ids.get(key)
-        if d is None:
-            if _allowed is not None and key not in _allowed:
-                return
-            d = ids[key] = len(keys)
-            keys.append(key)
-        edges.append((me, lab, d))
-
+    rnext: list[dict[Optional[int], list[int]]] = [{} for _ in range(r.n)]
+    for q, row in enumerate(nfa_mod._sorted_adjacency(r)):
+        for _rkey, q2, rl in row:
+            rnext[q].setdefault(rl, []).append(q2)
     start = (t.initial, r.initial)
-    ids[start] = 0
-    keys.append(start)
-    for me, (p, q) in enumerate(keys):
+    allowed = None if _allowed is None else {start, *_allowed}
+
+    def moves(key):
+        p, q = key
+        nxt = rnext[q]
+        out = []
         for _key, p2, lab in tadj[p]:
             x = lab[side]
-            if x is None:
-                add(me, lab, p2, q)
-            else:
-                for _rkey, q2, rl in radj[q]:
-                    if rl == x:
-                        add(me, lab, p2, q2)
-        for _rkey, q2, rl in radj[q]:
-            if rl is None:
-                add(me, (None, None), p, q2)
+            for q2 in (q,) if x is None else nxt.get(x, ()):
+                if allowed is None or (p2, q2) in allowed:
+                    out.append((lab, (p2, q2)))
+        for q2 in nxt.get(None, ()):
+            if allowed is None or (p, q2) in allowed:
+                out.append(((None, None), (p, q2)))
+        return out
+
+    keys, edges = nfa_mod._explore(start, moves)
     terms = [i for i, (p, q) in enumerate(keys) if p in t.terminals and q in r.terminals]
     return Transducer(t.alphabet, len(keys), edges, 0, terms), keys
 

@@ -7,6 +7,7 @@ so agreement on bounded languages is meaningful evidence.
 """
 
 import functools
+from collections import deque
 from itertools import product
 
 from combings import LinearLanguage, Nfa, Transducer, Word
@@ -165,6 +166,24 @@ def _eager_dfa(a: Nfa):
     return trans, [bool(s & a.terminals) for s in order]
 
 
+def bfs_order(a):
+    """The vertices of a in the order of a plain breadth-first search from
+    the initial vertex over nfa._sorted_adjacency, then the unreached ones
+    in increasing order: the order renumber_bfs must number them in."""
+    adj = nfa_mod._sorted_adjacency(a)
+    order = []
+    seen = {a.initial}
+    queue = deque([a.initial])
+    while queue:
+        p = queue.popleft()
+        order.append(p)
+        for _key, q, _lab in adj[p]:
+            if q not in seen:
+                seen.add(q)
+                queue.append(q)
+    return order + [p for p in range(a.n) if p not in seen]
+
+
 def difference_eager(a: Nfa, b: Nfa) -> Nfa:
     """L(a) minus L(b) as the breadth-first product of two eagerly built
     subset constructions, trimmed by the library's trim: the numbering the
@@ -300,6 +319,42 @@ def ft_bound_all_pairs(c, o, mode, maxlen):
                 return None
             worst = max(worst, f)
     return worst
+
+
+def tail_classes_by_paths(t, core_v, o):
+    """structures._tail_classes by its definition.  Every off-core path is
+    walked on its own: from a core vertex through an edge that leaves the
+    core, or from the initial vertex when the core is empty, tracking the
+    classes (ex, ey) of what each tape has read, starting at the identity
+    e0.  The classes are e0, every ex on every path, and for a path that
+    ends at a terminal vertex, base·ey(s) for each point s of the path,
+    where base = ex·ey⁻¹ at the end."""
+    e0 = o.identity_element()
+    adj = {}
+    for s, lab, d in t.edges:
+        adj.setdefault(s, []).append((lab, d))
+    classes = {e0}
+
+    def read(point, lab):
+        (ex, ey), (x, y) = point, lab
+        return (ex if x is None else o.mul_right(ex, x), ey if y is None else o.mul_right(ey, y))
+
+    def walk(v, path):
+        ex, ey = path[-1]
+        classes.add(ex)
+        if v in t.terminals:
+            base = o.mul(ex, o.inv_element(ey))
+            classes.update(o.mul(base, hy) for _hx, hy in path)
+        for lab, q in adj.get(v, ()):
+            walk(q, path + [read(path[-1], lab)])
+
+    if core_v:
+        for s, lab, d in t.edges:
+            if s in core_v and d not in core_v:
+                walk(d, [(e0, e0), read((e0, e0), lab)])
+    else:
+        walk(t.initial, [(e0, e0)])
+    return classes
 
 
 def concat_sets(xs, ys, maxlen):

@@ -290,12 +290,13 @@ def test_unknown_verb_is_systemexit():
         (["central-check", "gen.fst", "--maxlen", "4", "--k", "-1"], "--k"),
         (["extract", "c.nfa", "--oracle", "z.oracle", "--ft", "-1"], "--ft"),
         (["ft-bound", "c.nfa", "--oracle", "z.oracle", "--mode", "sync", "--maxlen", "-1"], "--maxlen"),
+        (["build", "gen.fst", "--oracle", "z.oracle", "--margin", "-1"], "--margin"),
     ],
 )
 def test_negative_count_is_usage_error(tmp_path, monkeypatch, capsys, argv, option):
-    """A negative length bound, radius, ft bound or k is refused with the
-    usage-error code before any input file is read, and the message names
-    the option."""
+    """A negative length bound, radius, ft bound, k or margin is refused
+    with the usage-error code before any input file is read, and the
+    message names the option."""
     files = {
         "c.nfa": _write(tmp_path, "c.nfa", Nfa(AB1, 1, [(0, 0, 0), (0, 1, 0)], 0, [0])),
         "z.oracle": _write(tmp_path, "z.oracle", AbelianOracle(AB1, 1, {"a": [1]})),

@@ -1,6 +1,7 @@
-"""Golden builds: the canonical text of C' for the ℤ, ℤ/3, ℤ² and S₃ round
-trips, and of the ℤ², ℤ³ and S₃ extracts, fixed so that a faster or simpler
-construction must reproduce it byte for byte."""
+"""Golden builds: the canonical text of C' for the ℤ, ℤ/3, ℤ², S₃ and
+non-L1 ℤ round trips, of the ℤ², ℤ³ and S₃ extracts, and of the extract,
+C' and report of each table group of the benchmark, fixed so that a faster
+or simpler construction must reproduce it byte for byte."""
 
 import hashlib
 import itertools
@@ -9,12 +10,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import combings
 from combings import Alphabet, Nfa, Transducer, fileformat
 from combings import structures as st
 from combings import transducer as td
 from combings.linear import LinearLanguage
 from combings.oracle import AbelianOracle, FiniteOracle
+from test_structures import REF
 
 Z_CPRIME = """\
 alphabet a A b B
@@ -169,30 +173,148 @@ upto check: ok; balanced cycles: True; C0 contained in C': True
 C' has 24 states"""
 
 
+# The README ℤ generators built through the non-L1 weights a -> (1, 1),
+# b -> (0, 1): the tail radius is read off the oracle's cached ball.
+NON_L1_CPRIME = """\
+alphabet a A b B
+inverse a A
+inverse b B
+nfa
+states 16
+initial 0
+final 8 14 15
+edge 0 - 1
+edge 0 - 2
+edge 1 - 3
+edge 1 - 4
+edge 2 - 5
+edge 2 a 6
+edge 2 A 7
+edge 3 - 8
+edge 3 a 9
+edge 3 A 10
+edge 4 - 11
+edge 4 a 12
+edge 4 A 13
+edge 5 B 14
+edge 6 - 5
+edge 6 a 6
+edge 7 - 5
+edge 7 A 7
+edge 9 - 8
+edge 9 a 9
+edge 10 - 8
+edge 10 A 10
+edge 11 b 15
+edge 12 - 11
+edge 12 a 12
+edge 13 - 11
+edge 13 A 13
+"""
+
+NON_L1_REPORT = """\
+K=24 (vertices 9, edges 14)
+core: 7 vertices, 10 edges; C0 has 3 states
+fellow-traveler bound: empirical 1, used 3
+suffix bound 'B'; 5 candidates, kept 3: ['ε', 'b', 'B']
+cayley ball radius 5; product 51 states
+upto check: ok; balanced cycles: True; C0 contained in C': True
+C' has 16 states"""
+
+# sha256 of fileformat.write of the extract and of C', and of the
+# BuildReport text, for the benchmark's table groups in their seed-0
+# configuration: the shortlex trie extracted at the Cayley graph's diameter,
+# then built
+TABLE_GROUPS = [
+    ("Z/3", "cyclic", 3,
+     "93098e9ce3ec29e509a2f801e1438536b6deccc1b3686784da140e6e135913ee",
+     "dc3269e7816a72b1d494e01f11fb8163336e0576989b1562b3985b173a7f5dde",
+     "848696ccc8963b1d97873b3b7c4e068a15e2a00efebf5f13f8bcdfdae0f60421"),
+    ("Z/7", "cyclic", 7,
+     "6aeeb024a18a1796235b06bfae21b7a0418df1c5636ebc41e26d04a47dd98c3e",
+     "197e27f50a2886ae2a9488e4714013b7d4efcf6be093d47bd982b9bdeba48abd",
+     "dba749fae944a27e2e58f1ff8c59898996c9b25c0e17bf8fa4e29995bfe5845d"),
+    ("Z/12", "cyclic", 12,
+     "9951165a4fc9c6a502587e727e3b7d4cd3ef4407cb7e6eae8c821717746d5ff2",
+     "38b75cb9d8336f1cb38064aa56f9b969fdaafab3b507dc9d8df94a8d240f0e76",
+     "c073531d572b551a617c657c268c11991d4f2f7323c369cd149fe90554610687"),
+    ("D5", "dihedral", 5,
+     "376d57a0aa247fa37111740bd3e33eeafcaeca35bdc9f7e4efbb919a253d4510",
+     "621ea69cc8d45ce4d0310c749211f83879f30fde157dcf7afc7cacd8a6478235",
+     "06207446b445a52a5dcb4a58616f9ef2796e957fbc539c3b8b62503805531afa"),
+    ("D6", "dihedral", 6,
+     "132299a9a813a97157cff8ea49881ef6e26edb8d30acf0a5704233f84ab6eeea",
+     "ff71cc37b4ca1b0f4567c1baf603b7adae967bd4c4b450f155ebf01498e27519",
+     "df6260f794e59ecfdd1db0b7604e01f022612f23dfe8ce31fa4e35758e7a63b7"),
+    ("D8", "dihedral", 8,
+     "7e9b1ee65b74782efa3b7b4ab484b8c2dac37e91bb43b4e1802e0098e9da4408",
+     "25c0419b5103f6e08b2e6a79082adae006dfe71ab7674e84598e01a8d829b2ec",
+     "4ef71e7e881ee133d464807e5cb018a3d2a0f9bff0ae5125715618b0b13a86ec"),
+    ("S3", "symmetric", 3,
+     "e044b1b15c3eaede7f020d303f7a503b869e0804170993c17b719c8ee4329b76",
+     "c3c4142ee651c4344bd861b48e23ce92ca425e62b27801de202df73d2859838b",
+     "4be8f5d0c405cdf2b4842501584b7b8ba41575dfca6f7f03146171ffd90a28b2"),
+    ("S4", "symmetric", 4,
+     "17342dd3ed4de45eb514a197c823bacd480d364187a402b0a7c76ee1a9a8d8ab",
+     "c9e6183a36fb4ecebe9fa1007ae0412334383ca3cdbba43e6f058fbc405e6a34",
+     "cfc541cf020649640a0baacf187bae6182dcf4b9a7904d05b9ad22fdb0b3090c"),
+    ("S5", "symmetric", 5,
+     "7aa7d310651efe1123c46bafd75698be5ae88bbfd40abc5d8d0b3dfe25c192e2",
+     "1240566fedca791e9147d6b552045488dd10994a8e949a854f67e12abe206f2f",
+     "3e7feaed663578795043ff5002bad696a67fa188fde3395de1e88828c9e4c6f0"),
+]
+
+
 def _sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def z_generators():
+    """The README session's generator language: the conjugates aⁿbAⁿ and
+    Aⁿbaⁿ of b."""
+    edges = [
+        (0, (None, None), 1),
+        (1, (0, 0), 1),
+        (1, (2, None), 3),
+        (0, (None, None), 2),
+        (2, (1, 1), 2),
+        (2, (2, None), 3),
+    ]
+    return LinearLanguage(Transducer(AB2, 4, edges, 0, [3]), "inverse")
+
+
 def test_golden_z():
     """The README session: the conjugates of b under a -> 1, b -> 0."""
-    ab = AB2
-    gen = Transducer(
-        ab,
-        4,
-        [
-            (0, (None, None), 1),
-            (1, (0, 0), 1),
-            (1, (2, None), 3),
-            (0, (None, None), 2),
-            (2, (1, 1), 2),
-            (2, (2, None), 3),
-        ],
-        0,
-        [3],
-    )
-    o = AbelianOracle(ab, 1, {"a": [1], "b": [0]})
-    cprime, _report = st.build_combing(LinearLanguage(gen, "inverse"), o, central=True)
+    o = AbelianOracle(AB2, 1, {"a": [1], "b": [0]})
+    cprime, _report = st.build_combing(z_generators(), o, central=True)
     assert fileformat.write(cprime) == Z_CPRIME
+
+
+def test_golden_z_non_l1():
+    o = AbelianOracle(AB2, 2, {"a": [1, 1], "b": [0, 1]})
+    cprime, report = st.build_combing(z_generators(), o)
+    assert fileformat.write(cprime) == NON_L1_CPRIME
+    assert str(report) == NON_L1_REPORT
+    cprime, report = st.build_combing(z_generators(), o, central=True)
+    assert fileformat.write(cprime) == NON_L1_CPRIME
+    assert str(report) == NON_L1_REPORT + "\nC' synchronous ft bound (sampled): 2"
+
+
+@pytest.mark.parametrize(
+    "make, order, extract_sha, cprime_sha, report_sha",
+    [row[1:] for row in TABLE_GROUPS],
+    ids=[row[0] for row in TABLE_GROUPS],
+)
+def test_golden_table_group(make, order, extract_sha, cprime_sha, report_sha):
+    table, gens = getattr(REF, make)(order, None)
+    n, edges, diameter = REF.shortlex_trie(table, REF.letter_images(table, gens))
+    ab = AB2 if len(gens) == 2 else Alphabet.from_pairs([("a", "A")])
+    o = FiniteOracle(ab, table, dict(zip("ab", gens)))
+    gens_lang = st.extract_generators(Nfa(ab, n, edges, 0, range(n)), o, diameter)
+    assert _sha256(fileformat.write(gens_lang)) == extract_sha
+    cprime, report = st.build_combing(gens_lang, o)
+    assert _sha256(fileformat.write(cprime)) == cprime_sha
+    assert _sha256(str(report)) == report_sha
 
 
 def test_golden_z3():

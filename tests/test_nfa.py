@@ -3,11 +3,14 @@ import pytest
 from combings import Nfa, Word, free_reduce, invert_word, shortlex_key
 from combings import nfa as nfa_mod
 from bruteforce import (
+    _eager_dfa,
     accepts_bf,
+    bfs_order,
     concat_sets,
     difference_eager,
     lang_of_nfa,
     random_nfa,
+    random_transducer,
     random_word,
     reverse_set,
     trim_fresh,
@@ -185,12 +188,27 @@ def test_remove_epsilon(rng, ab2):
 
 
 def test_renumber_bfs(rng, ab2):
-    for _ in range(20):
-        a = nfa_mod.trim(random_nfa(rng, ab2))
-        r = nfa_mod.renumber_bfs(a)
-        assert r.initial == 0
-        assert r.n == a.n
-        assert nfa_mod.equivalent(r, a)
+    """Vertices are numbered in the order of a plain deque BFS.  The
+    automata are untrimmed and of both kinds, so some vertices are
+    unreached."""
+    for make in (random_nfa, random_transducer):
+        for _ in range(30):
+            a = make(rng, ab2)
+            order = bfs_order(a)
+            assert sorted(order) == list(range(a.n))
+            new = {old: i for i, old in enumerate(order)}
+            r = nfa_mod.renumber_bfs(a)
+            assert type(r) is type(a)
+            assert r.n == a.n
+            assert r.initial == new[a.initial] == 0
+            assert r.edges == {(new[s], lab, new[d]) for s, lab, d in a.edges}
+            assert r.terminals == {new[t] for t in a.terminals}
+
+
+def test_dfa_matches_eager_subset_construction(rng, ab2):
+    for _ in range(60):
+        a = random_nfa(rng, ab2, max_states=6, eps_frac=0.3)
+        assert nfa_mod._dfa(a) == _eager_dfa(a)
 
 
 def test_minimize(rng, ab2):

@@ -31,7 +31,7 @@ from combings import linear as lin
 from combings import nfa as nfa_mod
 from combings import structures
 from combings import transducer as td
-from bruteforce import ft_bound_all_pairs, random_transducer
+from bruteforce import ft_bound_all_pairs, random_transducer, tail_classes_by_paths
 
 
 def test_sigword_validation(ab2):
@@ -362,6 +362,41 @@ def test_core_subgraph_property(rng, ab2):
     assert seen_kinds == {(False, False), (True, False), (True, True)}
 
 
+@hst.composite
+def _transducers(draw, ab):
+    """A transducer with up to four states, ε allowed on either tape; half
+    of them have edges only from lower to higher vertices, so their core
+    is empty."""
+    n = draw(hst.integers(1, 4))
+    state = hst.integers(0, n - 1)
+    letter = hst.one_of(hst.integers(0, len(ab) - 1), hst.none())
+    edge = hst.tuples(state, hst.tuples(letter, letter), state)
+    edges = draw(hst.lists(edge, max_size=3 * n + 3))
+    if draw(hst.booleans()):
+        edges = [(s, lab, d) for s, lab, d in edges if s < d]
+    return Transducer(ab, n, edges, 0, draw(hst.sets(state)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.data())
+def test_tail_classes_match_every_off_core_path(data):
+    ab = data.draw(hst.sampled_from([AB1, AB2]))
+    t = data.draw(_transducers(ab))
+    o = data.draw(_oracles(ab))
+    core_v, core_e = core_subgraph(t)
+    assert structures._tail_classes(t, core_v, core_e, o) == tail_classes_by_paths(t, core_v, o)
+
+
+def test_tail_classes_of_one_tail(ab2, free2_oracle):
+    """One edge (a, b) leaves the core {0} for the terminal 1: the tails
+    are the prefixes of a·b⁻¹, so the classes are e0, a and a·b⁻¹."""
+    t = Transducer(ab2, 2, [(0, (0, 0), 0), (0, (0, 2), 1)], 0, [1])
+    core_v, core_e = core_subgraph(t)
+    want = {(), (0,), (0, 3)}
+    assert structures._tail_classes(t, core_v, core_e, free2_oracle) == want
+    assert tail_classes_by_paths(t, core_v, free2_oracle) == want
+
+
 def test_extract_generators_z_conjugates(z_conj_oracle):
     ab = z_conj_oracle.alphabet
     astar = Nfa(ab, 1, [(0, 0, 0)], 0, [0])
@@ -407,6 +442,19 @@ def test_build_combing_z3(ab1, z3_oracle):
     assert [str(w) for w in members] == ["", "a", "A"]
     rep = check_combing(cprime, z3_oracle, ball_radius=1, maxlen=2)
     assert rep.passed
+
+
+@pytest.mark.parametrize("margin", [-1, -3])
+def test_build_combing_rejects_negative_margin(z_generators, z_conj_oracle, monkeypatch, margin):
+    """Refused on entry: -1 would build with k below the sampled bound and
+    -3 would fail inside the ball search."""
+
+    def no_stage(*args):
+        raise AssertionError("a build stage ran before the margin was checked")
+
+    monkeypatch.setattr(td, "trim", no_stage)
+    with pytest.raises(ValueError, match=f"margin must be nonnegative, not {margin}"):
+        build_combing(LinearLanguage(z_generators, "inverse"), z_conj_oracle, margin=margin)
 
 
 def test_build_combing_rejects_reversal_mode(ab1, z3_oracle):
