@@ -309,13 +309,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except UsageError as e:
+    except (FormatError, FileNotFoundError, UsageError) as e:
+        # ahead of ValueError, which FormatError and UsageError subclass
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as e:

@@ -9,7 +9,6 @@ dictionaries in the searches.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Hashable, Optional, Sequence
 
@@ -46,7 +45,9 @@ class GroupOracle:
         """The product e·f of two elements."""
         raise NotImplementedError
 
-    def distance_from_identity(self, e: Hashable, cap: Optional[int] = None) -> Optional[int]:
+    def distance_from_identity(self, e: Hashable) -> Optional[int]:
+        """The word-metric distance of e from the identity; None means e lies
+        outside the image, or past the ball cap where a ball is searched."""
         raise NotImplementedError
 
     def element(self, w: Word) -> Hashable:
@@ -94,11 +95,8 @@ class FreeOracle(GroupOracle):
                 out.append(i)
         return tuple(out)
 
-    def distance_from_identity(self, e, cap: Optional[int] = None) -> Optional[int]:
-        d = len(e)
-        if cap is not None and d > cap:
-            return None
-        return d
+    def distance_from_identity(self, e) -> Optional[int]:
+        return len(e)
 
 
 class AbelianOracle(GroupOracle):
@@ -154,28 +152,20 @@ class AbelianOracle(GroupOracle):
     def mul(self, e, f):
         return tuple(a + b for a, b in zip(e, f))
 
-    def distance_from_identity(self, e, cap: Optional[int] = None) -> Optional[int]:
-        """The word-metric distance, or None past cap.  Unless the L1 norm
-        applies, it is read off a cached breadth-first ball, and it is None
-        also when that ball outgrows DEFAULT_BALL_CAP elements before e
-        shows up."""
-        cap = DEFAULT_BALL_CAP if cap is None else cap
+    def distance_from_identity(self, e) -> Optional[int]:
+        """The word-metric distance.  Unless the L1 norm applies, it is read
+        off a cached breadth-first ball, None once that ball outgrows
+        DEFAULT_BALL_CAP elements without e; each level adds an element, as a
+        weight of L1 norm >= 2 generates an infinite image."""
         if self._l1:
             # _dist memoizes the queries here; None marks an element outside
             # the image
             if e not in self._dist:
                 self._dist[e] = None if any(e[i] for i in self._off_axes) else sum(map(abs, e))
         else:
-            while (
-                e not in self._dist
-                and self._dist_radius < cap
-                and len(self._dist) <= DEFAULT_BALL_CAP
-            ):
+            while e not in self._dist and len(self._dist) <= DEFAULT_BALL_CAP:
                 self._grow_dist_ball()
-        d = self._dist.get(e)
-        if d is None or d > cap:
-            return None
-        return d
+        return self._dist.get(e)
 
     def _grow_dist_ball(self):
         r = self._dist_radius
@@ -267,23 +257,19 @@ class FiniteOracle(GroupOracle):
     def mul(self, e, f):
         return self.table[e][f]
 
-    def distance_from_identity(self, e, cap: Optional[int] = None) -> Optional[int]:
-        d = self._dist.get(e)
-        if d is None or (cap is not None and d > cap):
-            return None
-        return d
+    def distance_from_identity(self, e) -> Optional[int]:
+        return self._dist.get(e)
 
 
 @dataclass
 class CayleyBall:
-    """The radius-k ball around the identity: distances, shortlex-least
-    representative words, and elements in discovery (shortlex) order."""
+    """The radius-k ball around the identity: distances and shortlex-least
+    representative words, both keyed in discovery (shortlex) order."""
 
     oracle: GroupOracle
     radius: int
     dist: dict = field(repr=False)
     rep: dict = field(repr=False)
-    order: list = field(repr=False)
 
     def __contains__(self, e) -> bool:
         return e in self.dist
@@ -292,16 +278,16 @@ class CayleyBall:
         return len(self.dist)
 
 
-def ball(o: GroupOracle, k: int, cap: int = DEFAULT_BALL_CAP) -> CayleyBall:
+def ball(o: GroupOracle, k: int) -> CayleyBall:
     """Breadth-first ball of radius k.  Processing the queue in shortlex
-    order of the discovery words makes each representative shortlex-least."""
+    order of the discovery words makes each representative shortlex-least.
+    Raises CapExceeded past DEFAULT_BALL_CAP elements."""
     if k < 0:
         raise ValueError("radius must be nonnegative")
     e0 = o.identity_element()
     empty = o.alphabet.empty_word()
     dist = {e0: 0}
     rep = {e0: empty}
-    order = [e0]
     frontier = [(e0, empty)]
     nletters = len(o.alphabet)
     for r in range(1, k + 1):
@@ -313,15 +299,14 @@ def ball(o: GroupOracle, k: int, cap: int = DEFAULT_BALL_CAP) -> CayleyBall:
                     dist[f] = r
                     w2 = Word(o.alphabet, w.indices + (letter,))
                     rep[f] = w2
-                    order.append(f)
                     nxt.append((f, w2))
-                    if len(dist) > cap:
+                    if len(dist) > DEFAULT_BALL_CAP:
                         raise CapExceeded(
-                            f"ball of radius {k} exceeded the cap of {cap} elements; "
+                            f"ball of radius {k} exceeded the cap of {DEFAULT_BALL_CAP} elements; "
                             "use a smaller radius"
                         )
         frontier = nxt
-    return CayleyBall(o, k, dist, rep, order)
+    return CayleyBall(o, k, dist, rep)
 
 
 def ft_distance(o: GroupOracle, mode: str, u: Word, v: Word, cap: int = 64) -> Optional[int]:
@@ -334,64 +319,44 @@ def ft_distance(o: GroupOracle, mode: str, u: Word, v: Word, cap: int = 64) -> O
     keeps every visited prefix pair within distance k.  Diagonal steps are
     what makes every synchronous schedule a valid asynchronous one.
 
-    Returns None when the value would exceed cap.
+    Returns None when the value would exceed cap.  This is the one place a
+    distance meets the cap: sync stops at the first distance past it, and
+    async compares the grid's last cell with it once.
     """
     if u.alphabet != o.alphabet or v.alphabet != o.alphabet:
         raise ValueError("words over a different alphabet")
+    inv = o.alphabet.inv
     if mode == "sync":
         delta = o.identity_element()
         worst = 0
-        inv = o.alphabet.inv
         for i in range(max(len(u), len(v))):
             if i < len(u):
                 delta = o.mul_left(inv[u.indices[i]], delta)
             if i < len(v):
                 delta = o.mul_right(delta, v.indices[i])
-            d = o.distance_from_identity(delta, cap)
-            if d is None:
+            d = o.distance_from_identity(delta)
+            if d is None or d > cap:
                 return None
             worst = max(worst, d)
         return worst
     if mode != "async":
         raise ValueError(f"mode must be 'sync' or 'async', not {mode!r}")
-    nu, nv = len(u), len(v)
-    inv = o.alphabet.inv
-    # prefix-difference elements over the grid
-    delta = [[None] * (nv + 1) for _ in range(nu + 1)]
-    delta[0][0] = o.identity_element()
-    for i in range(1, nu + 1):
-        delta[i][0] = o.mul_left(inv[u.indices[i - 1]], delta[i - 1][0])
-    for i in range(nu + 1):
-        for j in range(1, nv + 1):
-            delta[i][j] = o.mul_right(delta[i][j - 1], v.indices[j - 1])
-    cost = [[None] * (nv + 1) for _ in range(nu + 1)]
-
-    def node_cost(i, j):
-        if cost[i][j] is None:
-            cost[i][j] = o.distance_from_identity(delta[i][j], cap)
-        return cost[i][j]
-
-    best = [[None] * (nv + 1) for _ in range(nu + 1)]
-    c0 = node_cost(0, 0)
-    if c0 is None:
-        return None
-    heap = [(c0, 0, 0)]
-    best[0][0] = c0
-    while heap:
-        b, i, j = heapq.heappop(heap)
-        if (i, j) == (nu, nv):
-            return b
-        if best[i][j] is not None and b > best[i][j]:
-            continue
-        for di, dj in ((1, 0), (0, 1), (1, 1)):
-            i2, j2 = i + di, j + dj
-            if i2 > nu or j2 > nv:
-                continue
-            c = node_cost(i2, j2)
-            if c is None:
-                continue  # beyond cap, unusable
-            nb = max(b, c)
-            if best[i2][j2] is None or nb < best[i2][j2]:
-                best[i2][j2] = nb
-                heapq.heappush(heap, (nb, i2, j2))
-    return None
+    # One pass over the prefix grid, row i holding the prefix differences
+    # u(i)^-1·v(j): a cell's value is the least largest distance over the
+    # staircases that reach it, max(d(i,j), min(left, up, diagonal)).  A
+    # cell outside the image counts as cap + 1, and so does the border
+    # outside the grid, except the diagonal predecessor of (0,0), which is 0.
+    over = cap + 1
+    prev = [0] + [over] * (len(v) + 1)  # prev[j + 1] is the cell above (i, j)
+    start = o.identity_element()
+    for i in range(len(u) + 1):
+        if i:
+            start = o.mul_left(inv[u.indices[i - 1]], start)
+        delta, row = start, [over]
+        for j in range(len(v) + 1):
+            if j:
+                delta = o.mul_right(delta, v.indices[j - 1])
+            d = o.distance_from_identity(delta)
+            row.append(max(over if d is None else d, min(row[j], prev[j], prev[j + 1])))
+        prev = row
+    return prev[-1] if prev[-1] <= cap else None

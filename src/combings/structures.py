@@ -236,8 +236,6 @@ class CombingReport:
     surjective: bool
     no_identity_subwords: bool
     violations: list[str] = field(default_factory=list)
-    ft_mode: Optional[str] = None
-    ft_bound: Optional[int] = None
 
     @property
     def passed(self) -> bool:
@@ -251,8 +249,6 @@ class CombingReport:
             f"combing check (radius {self.ball_radius}, maxlen {self.maxlen}, "
             f"{self.members} members): " + ", ".join(flags)
         )
-        if self.ft_bound is not None:
-            s += f", ft_{self.ft_mode}={self.ft_bound}"
         for v in self.violations:
             s += f"\n  witness: {v}"
         return s
@@ -292,7 +288,7 @@ def check_combing(c: Nfa, o: GroupOracle, ball_radius: int, maxlen: int) -> Comb
             )
         hit.setdefault(e, w)
     surjective = True
-    for e in bl.order:
+    for e in bl.dist:
         if e not in hit:
             surjective = False
             violations.append(
@@ -525,7 +521,8 @@ def extract_generators(c: Nfa, o: GroupOracle, ft_bound: int) -> LinearLanguage:
         pieces.append(nfa_mod.concat(rho, tail))
     if not pieces:
         return LinearLanguage(Transducer(alphabet, 1, [], 0, []), "inverse")
-    lang = LinearLanguage(td.trim(nfa_mod.union_all(pieces)), "inverse")
+    # a union of trimmed pieces is trimmed
+    lang = LinearLanguage(nfa_mod.union_all(pieces), "inverse")
     reduced = nfa_mod.freely_reduced_lang(alphabet, include_empty=False)
     return intersect_regular(lang, reduced)
 
@@ -610,15 +607,17 @@ def _check_upto(t: Transducer, core_e, pairs, marks: dict) -> tuple[bool, str]:
     return True, ""
 
 
-def _shared_difference(c0: Nfa, ends, prod: Transducer, statelist):
+def _shared_difference(c0: Nfa, prod: Transducer, statelist):
     """DFA(C0) times the subset construction of the first tape of the pair
     product, shared by every suffix candidate x.  Returns (n, edges, bit,
     masks): bit gives a bit of its own to each class h of a pair-product
-    state (p, q, h) with p and q in ends, and masks maps each vertex where
-    C0 accepts to the bits of such classes in its subset.  C0 minus N_x is
-    this automaton accepting where the mask misses the bits of x's dset."""
+    state (p, q, h) with p and q terminal in C0, and masks maps each vertex
+    where C0 accepts to the bits of such classes in its subset.  C0 minus
+    N_x is this automaton accepting where the mask misses the bits of x's
+    dset."""
     proj = Nfa(c0.alphabet, prod.n, [(s, lab[0], d) for s, lab, d in prod.edges], prod.initial, [])
     edges, c0_accepts, subsets = nfa_mod._subset_product(c0, proj)
+    ends = c0.terminals
     end_h = {j: h for j, (p, q, h) in enumerate(statelist) if p in ends and q in ends}
     bit = {h: 1 << i for i, h in enumerate(set(end_h.values()))}
     end_bit = {j: bit[h] for j, h in end_h.items()}
@@ -639,7 +638,7 @@ def build_combing(
     linear language of freely reduced normal generators with significant
     letters.
 
-    Stages: close the language under inversion, strip (ε,ε) cycles and trim;
+    Stages: close the language under inversion, trim and strip (ε,ε) cycles;
     sample members to confirm significant letters exist; split off the core
     (the cycle-supported part) and project its first tape into the
     prefix-closed C0; measure an empirical fellow-traveler bound for C0 and
@@ -648,7 +647,7 @@ def build_combing(
     X remove from C0 the starts r for which some shortlex-smaller y and
     some s in C0 satisfy r̄·x̄ = s̄·ȳ, witnessed inside the Cayley-ball
     product of C0 with itself, and append x to what survives.  The union of
-    the surviving pieces, trimmed, is C'.
+    the surviving pieces, each trimmed, is C'.
 
     These stages sample rather than decide: the significant letters are
     searched on the pairs with |u| + |v| <= SIG_SAMPLE_LEN, and the upto
@@ -673,7 +672,6 @@ def build_combing(
 
     t = td.trim(nfa_mod.union(l.t, invert_linear(l).t))
     t = td.strip_epsilon_cycles(t)
-    t = td.trim(t)
     if not t.terminals:
         raise ValueError(
             "the generator language is empty: the group is free on the images "
@@ -747,8 +745,8 @@ def build_combing(
         key=shortlex_key,
     )
 
-    c0e = nfa_mod.remove_epsilon(c0)
-    prod, statelist = _pair_product(c0e, c0e, o, bl_r)
+    # C0 is minimal: trimmed, and without the ε edges the pair product forbids
+    prod, statelist = _pair_product(c0, c0, o, bl_r)
     reach_h = {h for (_p, _q, h) in statelist}
 
     x_elems = [(x, o.element(x)) for x in xs]
@@ -763,20 +761,19 @@ def build_combing(
                 dset.add(diff)
         if dset:
             if shared is None:
-                shared = _shared_difference(c0, c0e.terminals, prod, statelist)
+                shared = _shared_difference(c0, prod, statelist)
             n, edges, bit, masks = shared
             dmask = sum(bit.get(h, 0) for h in dset)
             terms = [j for j, m in masks.items() if not m & dmask]
-            cx = Nfa(alphabet, n, edges, 0, terms)
+            cx = nfa_mod.trim(Nfa(alphabet, n, edges, 0, terms))
         else:
-            cx = c0
-        cx = nfa_mod.trim(cx)
+            cx = c0  # minimal, so trimmed
         if cx.terminals:
             pieces.append(nfa_mod.concat(cx, nfa_mod.from_word(alphabet, x)))
             kept.append(str(x) or "ε")
     if not pieces:
         raise RuntimeError("no suffix candidate survived; input is not as expected")
-    cprime = nfa_mod.trim(nfa_mod.union_all(pieces))
+    cprime = nfa_mod.union_all(pieces)
 
     c0_contained = nfa_mod.is_empty_language(nfa_mod.difference(c0, cprime))
     if not c0_contained:

@@ -366,21 +366,24 @@ def enumerate_pairs(t: Transducer, max_total: int) -> list[tuple[Word, Word]]:
 
     Level search over prefix pairs, keeping one merged state set per pair
     so the cost scales with the relation rather than the automaton.  Pairs
-    are bucketed by |u| + |v|; (ε,ε) edges are closed away inside a bucket.
+    are bucketed by |u| + |v|; (ε,ε) edges are closed away inside a bucket,
+    whose state set grows as it is walked.
     """
+    if max_total < 0:
+        return []
     adj = t.adjacency()
-    eps = nfa_mod._arrows(t.n, [e for e in t.edges if e[1] == t.EPS], True)
-    buckets: list[dict[tuple, set[int]]] = [dict() for _ in range(max_total + 3)]
+    buckets: list[dict[tuple, set[int]]] = [dict() for _ in range(max_total + 1)]
     buckets[0][((), ())] = {t.initial}
     out = []
-    for total in range(max_total + 1):
-        for (u, v), states in buckets[total].items():
-            reach = nfa_mod._search(eps, states)
-            if reach & t.terminals:
-                out.append((u, v))
-            for p in reach:
+    for total, bucket in enumerate(buckets):
+        for (u, v), states in bucket.items():
+            walk = list(states)
+            for p in walk:  # the list grows while it is walked
                 for (x, y), q in adj[p]:
                     if x is None and y is None:
+                        if q not in states:
+                            states.add(q)
+                            walk.append(q)
                         continue
                     u2 = u if x is None else u + (x,)
                     v2 = v if y is None else v + (y,)
@@ -388,5 +391,7 @@ def enumerate_pairs(t: Transducer, max_total: int) -> list[tuple[Word, Word]]:
                     if total2 > max_total:
                         continue
                     buckets[total2].setdefault((u2, v2), set()).add(q)
+            if states & t.terminals:
+                out.append((u, v))
     ab = t.alphabet
     return [(Word(ab, u), Word(ab, v)) for u, v in sorted(out)]

@@ -10,7 +10,7 @@ import functools
 from collections import deque
 from itertools import product
 
-from combings import LinearLanguage, Nfa, Transducer, Word
+from combings import LinearLanguage, Nfa, Transducer, Word, invert_word
 from combings import nfa as nfa_mod
 from combings import structures
 from combings import transducer as td
@@ -300,6 +300,39 @@ def rectangle_product_unpruned(t, r, mode):
     return [keys[i] for i in order], edges, remap[both.initial]
 
 
+def _staircases(m, n):
+    """Every monotone path of grid cells from (0, 0) to (m, n) with steps
+    right, down or diagonal."""
+    if (m, n) == (0, 0):
+        return [[(0, 0)]]
+    out = []
+    for di, dj in ((1, 0), (0, 1), (1, 1)):
+        if m >= di and n >= dj:
+            out.extend(path + [(m, n)] for path in _staircases(m - di, n - dj))
+    return out
+
+
+def ft_distance_by_staircases(o, mode, u, v, cap):
+    """structures' ft_distance by its definition, with cell (i, j) at the
+    oracle's distance between the prefixes u[:i] and v[:j].  sync: the
+    largest distance over the lockstep cells (min(i, |u|), min(i, |v|)).
+    async: the least such largest distance over every staircase.  A cell
+    the oracle gives no distance blocks its staircase; None above cap."""
+
+    @functools.cache
+    def d(i, j):
+        return o.distance_from_identity(o.element(invert_word(u[:i]) + v[:j]))
+
+    if mode == "sync":
+        n = max(len(u), len(v))
+        paths = [[(min(i, len(u)), min(i, len(v))) for i in range(n + 1)]]
+    else:
+        paths = _staircases(len(u), len(v))
+    values = [[d(i, j) for i, j in path] for path in paths]
+    worst = [max(ds) for ds in values if None not in ds]
+    return min((x for x in worst if x <= cap), default=None)
+
+
 def ft_bound_all_pairs(c, o, mode, maxlen):
     """ft_bound_of_combing by testing every pair of sampled members for
     adjacency: d(ē_u⁻¹·ē_v) <= 1 by the oracle's own distance.  Reads
@@ -311,7 +344,7 @@ def ft_bound_all_pairs(c, o, mode, maxlen):
     worst = 0
     for i, (u, _eu) in enumerate(elems):
         for v, ev in elems[i + 1 :]:
-            d = o.distance_from_identity(o.mul(inverses[i], ev), 1)
+            d = o.distance_from_identity(o.mul(inverses[i], ev))
             if d is None or d > 1:
                 continue
             f = structures.ft_distance(o, mode, u, v, structures.FT_CAP)

@@ -134,8 +134,9 @@ def test_abelian_distance_unit_weights_is_l1(ab3):
     o = AbelianOracle(ab3, 3, {"a": [1, 0, 0], "b": [0, 1, 0], "c": [0, 0, 1]})
     far = ab3.word("a" * 20 + "b" * 20 + "c" * 20)
     assert ft_distance(o, "sync", far, ab3.word(""), cap=64) == 60
-    assert o.distance_from_identity((20, -20, 20), cap=60) == 60
-    assert o.distance_from_identity((20, -20, 20), cap=59) is None
+    assert o.distance_from_identity((20, -20, 20)) == 60
+    assert ft_distance(o, "sync", far, ab3.word(""), cap=60) == 60
+    assert ft_distance(o, "sync", far, ab3.word(""), cap=59) is None
     # a zero-weight letter leaves the metric alone; an axis no letter
     # reaches is out of the group's image
     flat = AbelianOracle(ab3, 3, {"a": [1, 0, 0], "b": [0, 1, 0], "c": [0, 0, 0]})
@@ -158,9 +159,10 @@ def test_ball_reps_are_shortlex_least(ab2, z2_oracle):
         assert shortlex_key(bl.rep[e]) <= shortlex_key(w)
 
 
-def test_ball_cap(ab2, free2_oracle):
+def test_ball_cap(ab2, free2_oracle, monkeypatch):
+    monkeypatch.setattr(orc, "DEFAULT_BALL_CAP", 10)
     with pytest.raises(CapExceeded):
-        ball(free2_oracle, 4, cap=10)
+        ball(free2_oracle, 4)
 
 
 def _distance(o, u, v):

@@ -16,6 +16,7 @@ from combings import (
     Nfa,
     SigWord,
     Transducer,
+    Word,
     build_combing,
     check_central,
     check_combing,
@@ -24,6 +25,7 @@ from combings import (
     extract_generators,
     ft_bound_of_combing,
     free_reduce,
+    ft_distance,
     invert_word,
     search_significant,
 )
@@ -31,7 +33,12 @@ from combings import linear as lin
 from combings import nfa as nfa_mod
 from combings import structures
 from combings import transducer as td
-from bruteforce import ft_bound_all_pairs, random_transducer, tail_classes_by_paths
+from bruteforce import (
+    ft_bound_all_pairs,
+    ft_distance_by_staircases,
+    random_transducer,
+    tail_classes_by_paths,
+)
 
 
 def test_sigword_validation(ab2):
@@ -253,6 +260,20 @@ def test_ft_bound_of_combing_matches_all_pairs(data):
     assert ft_bound_of_combing(c, o, mode, maxlen) == ft_bound_all_pairs(c, o, mode, maxlen)
 
 
+@settings(max_examples=300, deadline=None)
+@given(hst.data())
+def test_ft_distance_matches_staircases(data):
+    """The one-pass grid and the lockstep walk agree with the definition:
+    the best of every monotone staircase, and the lockstep cells."""
+    ab = data.draw(hst.sampled_from([AB1, AB2]))
+    o = data.draw(_oracles(ab))
+    words = hst.lists(hst.integers(0, len(ab) - 1), max_size=5).map(lambda xs: Word(ab, xs))
+    u, v = data.draw(words), data.draw(words)
+    mode = data.draw(hst.sampled_from(["sync", "async"]))
+    cap = data.draw(hst.integers(0, 6))
+    assert ft_distance(o, mode, u, v, cap) == ft_distance_by_staircases(o, mode, u, v, cap)
+
+
 def test_ft_bound_of_combing_over_the_cap(slex_z2, z2_oracle, monkeypatch):
     """With FT_CAP below the sync bound 2 of the ℤ² shortlex combing, the
     first pair at distance 2 makes both the lookup and the all-pairs loop
@@ -274,9 +295,9 @@ class _CountingAbelian(AbelianOracle):
         self.calls += self.counting
         return super().mul(e, f)
 
-    def distance_from_identity(self, e, cap=None):
+    def distance_from_identity(self, e):
         self.calls += self.counting
-        return super().distance_from_identity(e, cap)
+        return super().distance_from_identity(e)
 
 
 def test_ft_bound_of_combing_work_is_linear_in_members(monkeypatch):
@@ -385,6 +406,34 @@ def test_tail_classes_match_every_off_core_path(data):
     o = data.draw(_oracles(ab))
     core_v, core_e = core_subgraph(t)
     assert structures._tail_classes(t, core_v, core_e, o) == tail_classes_by_paths(t, core_v, o)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.data())
+def test_build_stages_keep_automata_trimmed(data):
+    """What extract and build rely on instead of trimming again, for
+    nonempty languages: stripping (ε,ε) cycles keeps a trimmed transducer
+    trimmed; a union of trimmed pieces, each followed by a fixed word, is
+    trimmed; a minimal automaton is trimmed and has no ε edges."""
+    ab = data.draw(hst.sampled_from([AB1, AB2]))
+    t = td.strip_epsilon_cycles(td.trim(data.draw(_transducers(ab))))
+    if t.terminals:
+        assert td.trim(t) is t
+    tail = td.from_pairs(ab, [(ab.word("a"), ab.word(""))])
+    parts = [td.trim(x) for x in data.draw(hst.lists(_transducers(ab), min_size=1, max_size=4))]
+    pieces = [nfa_mod.concat(x, tail) for x in parts if x.terminals]
+    if pieces:
+        union = nfa_mod.union_all(pieces)
+        assert td.trim(union) is union
+    nfas = data.draw(hst.lists(_nfas(ab), min_size=1, max_size=4))
+    minimal = [nfa_mod.minimize(a) for a in nfas if not nfa_mod.is_empty_language(a)]
+    for m in minimal:
+        assert nfa_mod.trim(m) is m
+        assert all(lab is not None for _s, lab, _d in m.edges)
+    if minimal:
+        x = nfa_mod.from_word(ab, ab.word("a"))
+        union = nfa_mod.union_all([nfa_mod.concat(m, x) for m in minimal])
+        assert nfa_mod.trim(union) is union
 
 
 def test_tail_classes_of_one_tail(ab2, free2_oracle):
