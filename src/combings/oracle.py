@@ -133,6 +133,7 @@ class AbelianOracle(GroupOracle):
         self._off_axes = tuple(i for i in range(rank) if not any(v[i] for v in self.weights))
         self._dist: dict[tuple[int, ...], Optional[int]] = {}
         self._dist_radius = -1
+        self._frontier: list[tuple[int, ...]] = []  # the ball's last level
 
     def identity_element(self):
         return (0,) * self.rank
@@ -170,15 +171,18 @@ class AbelianOracle(GroupOracle):
     def _grow_dist_ball(self):
         r = self._dist_radius
         if r < 0:
-            self._dist = {self.identity_element(): 0}
+            self._frontier = [self.identity_element()]
+            self._dist = {self._frontier[0]: 0}
             self._dist_radius = 0
             return
-        frontier = [e for e, d in self._dist.items() if d == r]
-        for e in frontier:
+        nxt = []
+        for e in self._frontier:
             for letter in range(len(self.alphabet)):
                 f = self.mul_right(e, letter)
                 if f not in self._dist:
                     self._dist[f] = r + 1
+                    nxt.append(f)
+        self._frontier = nxt
         self._dist_radius = r + 1
 
 

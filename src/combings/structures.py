@@ -577,7 +577,11 @@ class BuildReport:
 def _check_upto(t: Transducer, core_e, pairs, marks: dict) -> tuple[bool, str]:
     """Sampled check that the edge carrying each significant letter lies
     off-core.  Only the first UPTO_PAIRS pairs are walked; path recovery on
-    a large transducer is the expensive part."""
+    a large transducer is the expensive part.  With an empty core, as for
+    every finite group, no edge can carry a letter on-core, so no path is
+    recovered."""
+    if not core_e:
+        return True, ""
     for u, v in pairs[:UPTO_PAIRS]:
         w = u + invert_word(v)
         sw = marks.get(w)
@@ -631,6 +635,29 @@ def _shared_difference(c0: Nfa, prod: Transducer, statelist):
     return len(subsets), edges, bit, masks
 
 
+def _closed_generators(l: LinearLanguage) -> tuple[Transducer, bool]:
+    """The generator transducer closed under inversion, trimmed and
+    stripped of (ε,ε) cycles, and whether every cycle of it is balanced.
+
+    Both are computed on one half, which is then united with its tape
+    swap.  That gives the automaton strip(trim(union(L, L⁻¹))):
+    the union's root has no in-edges, so no cycle passes through it; a union
+    of trimmed parts is trimmed and numbered as a trim of the whole would
+    number it; and swapping the tapes fixes (ε,ε), so it commutes with
+    stripping.  Balance is read off the swapped half, whose cycles have
+    the negated imbalance: it is a new automaton, so the adjacency lists
+    the check caches on it are freed with it, not left on l.t.  An empty
+    language is refused."""
+    half = td.strip_epsilon_cycles(td.trim(l.t))
+    if not half.terminals:
+        raise ValueError(
+            "the generator language is empty: the group is free on the images "
+            "of the alphabet and there is nothing to construct"
+        )
+    swapped = invert_linear(LinearLanguage(half, "inverse")).t
+    return nfa_mod.union(half, swapped), td.check_balanced_cycles(swapped)
+
+
 def build_combing(
     l: LinearLanguage, o: GroupOracle, central: bool = False, margin: int = 2
 ) -> tuple[Nfa, BuildReport]:
@@ -638,9 +665,10 @@ def build_combing(
     linear language of freely reduced normal generators with significant
     letters.
 
-    Stages: close the language under inversion, trim and strip (ε,ε) cycles;
-    sample members to confirm significant letters exist; split off the core
-    (the cycle-supported part) and project its first tape into the
+    Stages: trim the language, strip its (ε,ε) cycles and check that its
+    cycles are balanced, then close it under inversion; sample members to
+    confirm significant letters exist; split off the core (the
+    cycle-supported part) and project its first tape into the
     prefix-closed C0; measure an empirical fellow-traveler bound for C0 and
     add the margin; collect the off-core tail classes to bound the suffix
     candidates X (shortlex-least class representatives); then for each x in
@@ -670,13 +698,7 @@ def build_combing(
     alphabet = l.t.alphabet
     warnings: list[str] = []
 
-    t = td.trim(nfa_mod.union(l.t, invert_linear(l).t))
-    t = td.strip_epsilon_cycles(t)
-    if not t.terminals:
-        raise ValueError(
-            "the generator language is empty: the group is free on the images "
-            "of the alphabet and there is nothing to construct"
-        )
+    t, balanced = _closed_generators(l)
 
     pairs = td.enumerate_pairs(t, SIG_SAMPLE_LEN)
     members = []
@@ -701,7 +723,6 @@ def build_combing(
         )
     marks = {sw.word: sw for sw in assignment}
 
-    balanced: Optional[bool] = td.check_balanced_cycles(t)
     if central and not balanced:
         raise ValueError(
             "central construction requires every cycle to read tapes of "

@@ -10,7 +10,7 @@ import functools
 from collections import deque
 from itertools import product
 
-from combings import LinearLanguage, Nfa, Transducer, Word, invert_word
+from combings import LinearLanguage, Nfa, Transducer, Word, invert_linear, invert_word
 from combings import nfa as nfa_mod
 from combings import structures
 from combings import transducer as td
@@ -249,6 +249,13 @@ def trim_fresh(a):
     edges = [(remap[s], lab, remap[d]) for s, lab, d in a.edges if s in useful and d in useful]
     terms = [remap[x] for x in a.terminals if x in useful]
     return type(a)(a.alphabet, len(order), edges, remap[a.initial], terms)
+
+
+def closed_generators(l):
+    """The generator transducer closed under inversion first, then trimmed
+    and stripped of (ε,ε) cycles: the order in which build_combing used to
+    prepare its input."""
+    return td.strip_epsilon_cycles(td.trim(nfa_mod.union(l.t, invert_linear(l).t)))
 
 
 def strip_epsilon_cycles_fresh(t):

@@ -152,6 +152,61 @@ def test_abelian_distance_ball_overflow_is_unknown(ab2, monkeypatch):
     assert o.distance_from_identity((3, 1)) == 2
 
 
+class _CountingDict(dict):
+    """A dict that counts the entries read from it: one per membership
+    test or lookup, one per entry an iteration yields."""
+
+    reads = 0
+
+    def __contains__(self, key):
+        self.reads += 1
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def items(self):
+        for item in super().items():
+            self.reads += 1
+            yield item
+
+    def keys(self):
+        for key in super().keys():
+            self.reads += 1
+            yield key
+
+    def values(self):
+        for value in super().values():
+            self.reads += 1
+            yield value
+
+    def __iter__(self):
+        return iter(self.keys())
+
+
+def test_abelian_ball_growth_reads_each_entry_a_bounded_number_of_times(ab2, monkeypatch):
+    """The image of a -> (1, 1), b -> 0 is a line, so the non-L1 ball
+    adds two elements per level; asking for (1, 0), outside the image,
+    grows it to the cap.  Each level reads only the last one, so the reads
+    stay linear in the ball's size (a rescan of the whole ball per level
+    would read about size² / 4 entries)."""
+    monkeypatch.setattr(orc, "DEFAULT_BALL_CAP", 400)
+    o = AbelianOracle(ab2, 2, {"a": [1, 1], "b": [0, 0]})
+    assert o.distance_from_identity((0, 0)) == 0
+    o._dist = _CountingDict(o._dist)
+    assert o.distance_from_identity((1, 0)) is None
+    size = len(o._dist)
+    assert size > 400
+    assert o._dist.reads <= 2 * len(ab2) * size
+    assert o.distance_from_identity((-3, -3)) == 3
+    assert o.distance_from_identity((200, 200)) == 200
+
+
 def test_ball_reps_are_shortlex_least(ab2, z2_oracle):
     bl = ball(z2_oracle, 3)
     for w in words_upto(ab2, 3):

@@ -34,6 +34,7 @@ from combings import nfa as nfa_mod
 from combings import structures
 from combings import transducer as td
 from bruteforce import (
+    closed_generators,
     ft_bound_all_pairs,
     ft_distance_by_staircases,
     random_transducer,
@@ -434,6 +435,70 @@ def test_build_stages_keep_automata_trimmed(data):
         x = nfa_mod.from_word(ab, ab.word("a"))
         union = nfa_mod.union_all([nfa_mod.concat(m, x) for m in minimal])
         assert nfa_mod.trim(union) is union
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.data())
+def test_closed_generators_match_closing_first(data):
+    """Trimming and stripping one half before closing under inversion
+    builds the same automaton as closing first, with the same cycle
+    balance; an empty language is refused either way.  Extra (ε,ε) edges
+    make (ε,ε) cycles common."""
+    ab = data.draw(hst.sampled_from([AB1, AB2]))
+    t = data.draw(_transducers(ab))
+    state = hst.integers(0, t.n - 1)
+    eps = data.draw(hst.lists(hst.tuples(state, state), max_size=t.n + 1))
+    t = Transducer(ab, t.n, t.edges | {(s, (None, None), d) for s, d in eps}, 0, t.terminals)
+    l = LinearLanguage(t, "inverse")
+    want = closed_generators(l)
+    if not want.terminals:
+        with pytest.raises(ValueError, match="generator language is empty"):
+            structures._closed_generators(l)
+        return
+    got, balanced = structures._closed_generators(l)
+    assert (got.n, got.edges, got.initial, got.terminals) == (
+        want.n,
+        want.edges,
+        want.initial,
+        want.terminals,
+    )
+    assert balanced == td.check_balanced_cycles(got)
+
+
+def test_upto_check_flags_a_marked_letter_on_a_core_edge(ab2):
+    """In BBAbb, read as (BB, BBa), the centered mark 3 falls on A, which
+    the edge (2, (ε, a), 3) reads; 3 lies on the cycle 1 → 2 → 3 → 1, so
+    the edge is a core edge."""
+    edges = [
+        (0, (3, 3), 1),
+        (1, (3, 3), 2),
+        (2, (3, 3), 2),
+        (2, (None, 0), 3),
+        (3, (3, None), 1),
+    ]
+    t = Transducer(ab2, 4, edges, 0, [3])
+    o = AbelianOracle(ab2, 1, {"a": [0], "b": [1]})
+    _cprime, report = build_combing(LinearLanguage(t, "inverse"), o)
+    assert not report.upto_ok
+    assert "upto check: VIOLATED" in str(report)
+    assert report.warnings == [
+        "significant letter of BBAbb (position 3) is carried by a core edge"
+    ]
+
+
+def test_upto_check_without_a_core_walks_no_path(z3_oracle, monkeypatch):
+    """An empty core has no edge to carry a marked letter, so no path is
+    recovered."""
+
+    def no_walk(*args):
+        raise AssertionError("the upto check recovered a path without a core")
+
+    monkeypatch.setattr(td, "_pair_path", no_walk)
+    ab = z3_oracle.alphabet
+    t = td.from_pairs(ab, [(ab.word("aaa"), ab.word(""))])
+    _cprime, report = build_combing(LinearLanguage(t, "inverse"), z3_oracle)
+    assert report.core_edges == 0
+    assert report.upto_ok
 
 
 def test_tail_classes_of_one_tail(ab2, free2_oracle):
