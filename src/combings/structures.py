@@ -9,6 +9,7 @@ prefix-closed combing with uniqueness.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -385,28 +386,60 @@ def core_subgraph(t: Transducer) -> tuple[frozenset[int], frozenset]:
     return core, frozenset(e for e in t.edges if e[2] in core)
 
 
-def _first_tape_core(t: Transducer, core_v: frozenset[int], core_e) -> Nfa:
-    """C0: the first-tape projection of the core, every state terminal.
-    An empty core yields the one-word language {ε}."""
+def _closure_pairs(t: Transducer, max_total: int) -> list[tuple[Word, Word]]:
+    """enumerate_pairs of the inversion closure t ∪ t⁻¹, in its order: the
+    pairs of t and their swaps, which t⁻¹ accepts."""
+    pairs = td.enumerate_pairs(t, max_total)
+    both = set(pairs) | {(v, u) for u, v in pairs}
+    return sorted(both, key=lambda p: (p[0].indices, p[1].indices))
+
+
+def _closure_sizes(t: Transducer, core_v: frozenset[int], core_e) -> tuple[int, int, int, int]:
+    """Vertices, edges, core vertices and core edges of the inversion
+    closure t ∪ t⁻¹ of a trimmed t.  The closure is a root with ε edges to
+    t and to its tape swap, which has t's graph.  The root has no in-edges,
+    and it reaches t's core exactly when that core is nonempty."""
+    core = (2 * len(core_v) + 1, 2 * len(core_e) + 2) if core_v else (0, 0)
+    return (1 + 2 * t.n, 2 + 2 * len(t.edges)) + core
+
+
+def _core_projections(t: Transducer, core_v: frozenset[int], core_e) -> Nfa:
+    """C0 before minimizing: the first-tape projection of the core of the
+    inversion closure t ∪ t⁻¹, every state terminal.  The closure's root
+    lies in its core exactly when t's core is nonempty, and the core of t⁻¹
+    is t's core read on the second tape, so this is the union of the two
+    projections of t's core, numbered as the closure's would be.  t is
+    trimmed, so its initial vertex is in a nonempty core.  An empty core
+    yields the one-word language {ε}."""
     if not core_v:
         return Nfa(t.alphabet, 1, [], 0, [0])
     order = sorted(core_v)
     remap = {old: new for new, old in enumerate(order)}
-    edges = [(remap[s], lab[0], remap[d]) for s, lab, d in core_e]
-    return Nfa(t.alphabet, len(order), edges, remap[t.initial], range(len(order)))
+    tapes = []
+    for tape in (0, 1):
+        edges = [(remap[s], lab[tape], remap[d]) for s, lab, d in core_e]
+        tapes.append(Nfa(t.alphabet, len(order), edges, remap[t.initial], range(len(order))))
+    return nfa_mod.union_all(tapes)
 
 
 def _tail_classes(t: Transducer, core_v: frozenset[int], core_e, o: GroupOracle) -> set:
-    """Group classes of the word tails that successful paths append beyond
-    the core.
+    """Group classes of the word tails that successful paths of the
+    inversion closure t ∪ t⁻¹ append beyond its core, read off t alone.
 
     A tail is a prefix of x1·y1^-1 where (x1, y1) labels an off-core path
     suffix.  The first-tape prefixes are collected exactly.  The mixed
     prefixes combine each accepting tail state with the second-tape head
     classes seen among its ancestors; that still over-approximates (heads
     of merging paths mix), which only enlarges the candidate set.
+
+    The walk's states are (vertex, x-class, y-class).  t⁻¹ is t with the
+    tapes swapped, so its states are t's with the two classes swapped, and
+    one walk of t gives both halves' classes.  The closure's walk has twice
+    as many states, plus its root when the core is empty, and it fails past
+    DEFAULT_BALL_CAP of them; the guard counts the same way.
     """
     e0 = o.identity_element()
+    root = 0 if core_v else 1  # the closure's walk starts at its root without a core
 
     def apply(lab, q, ex, ey):
         x, y = lab
@@ -420,7 +453,7 @@ def _tail_classes(t: Transducer, core_v: frozenset[int], core_e, o: GroupOracle)
         if key not in pred:
             pred[key] = []
             stack.append(key)
-            if len(pred) > DEFAULT_BALL_CAP:
+            if 2 * len(pred) + root > DEFAULT_BALL_CAP:
                 raise RuntimeError(
                     f"tail search exceeded {DEFAULT_BALL_CAP} states; "
                     "the off-core part is too wide"
@@ -440,13 +473,19 @@ def _tail_classes(t: Transducer, core_v: frozenset[int], core_e, o: GroupOracle)
         for lab, q in adj[v]:
             visit(apply(lab, q, ex, ey)).append(key)
 
-    classes = {e0} | {ex for _v, ex, _ey in pred}
+    classes = {e0}
+    for _v, ex, ey in pred:
+        classes.add(ex)
+        classes.add(ey)
     for fkey in pred:
         fv, fex, fey = fkey
         if fv in t.terminals:
-            base = o.mul(fex, o.inv_element(fey))
-            heads = {e0} | {ey for _v, _ex, ey in nfa_mod._search(pred, [fkey])}
-            classes.update(o.mul(base, hy) for hy in heads)
+            ancestors = nfa_mod._search(pred, [fkey])
+            # t's tail with its y-heads, then t⁻¹'s, whose y-heads are t's x-heads
+            for ex, ey, side in ((fex, fey, 2), (fey, fex, 1)):
+                base = o.mul(ex, o.inv_element(ey))
+                heads = {e0} | {key[side] for key in ancestors}
+                classes.update(o.mul(base, hy) for hy in heads)
     return classes
 
 
@@ -576,12 +615,15 @@ class BuildReport:
 
 def _check_upto(t: Transducer, core_e, pairs, marks: dict) -> tuple[bool, str]:
     """Sampled check that the edge carrying each significant letter lies
-    off-core.  Only the first UPTO_PAIRS pairs are walked; path recovery on
-    a large transducer is the expensive part.  With an empty core, as for
-    every finite group, no edge can carry a letter on-core, so no path is
-    recovered."""
+    off-core in the inversion closure t ∪ t⁻¹, given t and its core edges.
+    Only the first UPTO_PAIRS pairs are walked; path recovery on a large
+    transducer is the expensive part.  With an empty core, as for every
+    finite group, no edge can carry a letter on-core, so neither the
+    closure nor a path is built."""
     if not core_e:
         return True, ""
+    t = nfa_mod.union(t, invert_linear(LinearLanguage(t, "inverse")).t)
+    _core_v, core_e = core_subgraph(t)
     for u, v in pairs[:UPTO_PAIRS]:
         w = u + invert_word(v)
         sw = marks.get(w)
@@ -635,29 +677,6 @@ def _shared_difference(c0: Nfa, prod: Transducer, statelist):
     return len(subsets), edges, bit, masks
 
 
-def _closed_generators(l: LinearLanguage) -> tuple[Transducer, bool]:
-    """The generator transducer closed under inversion, trimmed and
-    stripped of (ε,ε) cycles, and whether every cycle of it is balanced.
-
-    Both are computed on one half, which is then united with its tape
-    swap.  That gives the automaton strip(trim(union(L, L⁻¹))):
-    the union's root has no in-edges, so no cycle passes through it; a union
-    of trimmed parts is trimmed and numbered as a trim of the whole would
-    number it; and swapping the tapes fixes (ε,ε), so it commutes with
-    stripping.  Balance is read off the swapped half, whose cycles have
-    the negated imbalance: it is a new automaton, so the adjacency lists
-    the check caches on it are freed with it, not left on l.t.  An empty
-    language is refused."""
-    half = td.strip_epsilon_cycles(td.trim(l.t))
-    if not half.terminals:
-        raise ValueError(
-            "the generator language is empty: the group is free on the images "
-            "of the alphabet and there is nothing to construct"
-        )
-    swapped = invert_linear(LinearLanguage(half, "inverse")).t
-    return nfa_mod.union(half, swapped), td.check_balanced_cycles(swapped)
-
-
 def build_combing(
     l: LinearLanguage, o: GroupOracle, central: bool = False, margin: int = 2
 ) -> tuple[Nfa, BuildReport]:
@@ -665,17 +684,23 @@ def build_combing(
     linear language of freely reduced normal generators with significant
     letters.
 
-    Stages: trim the language, strip its (ε,ε) cycles and check that its
-    cycles are balanced, then close it under inversion; sample members to
-    confirm significant letters exist; split off the core (the
-    cycle-supported part) and project its first tape into the
-    prefix-closed C0; measure an empirical fellow-traveler bound for C0 and
-    add the margin; collect the off-core tail classes to bound the suffix
-    candidates X (shortlex-least class representatives); then for each x in
-    X remove from C0 the starts r for which some shortlex-smaller y and
-    some s in C0 satisfy r̄·x̄ = s̄·ȳ, witnessed inside the Cayley-ball
-    product of C0 with itself, and append x to what survives.  The union of
-    the surviving pieces, each trimmed, is C'.
+    The construction works on the language closed under inversion,
+    t = L ∪ L⁻¹, a root with ε edges to L and to its tape swap.  Every
+    stage reads t off the half L = strip(trim(l.t)) instead, since the
+    swap has L's graph; t is built only for the upto check, and only when
+    the core has an edge.
+
+    Stages: trim the language and strip its (ε,ε) cycles; sample the
+    members of t to confirm significant letters exist; check that the
+    cycles are balanced; split off the core (the cycle-supported part) and
+    project the first tape of t's core into the prefix-closed C0; measure
+    an empirical fellow-traveler bound for C0 and add the margin; collect
+    t's off-core tail classes to bound the suffix candidates X
+    (shortlex-least class representatives); then for each x in X remove
+    from C0 the starts r for which some shortlex-smaller y and some s in
+    C0 satisfy r̄·x̄ = s̄·ȳ, witnessed inside the Cayley-ball product of C0
+    with itself, and append x to what survives.  The union of the
+    surviving pieces, each trimmed, is C'.
 
     These stages sample rather than decide: the significant letters are
     searched on the pairs with |u| + |v| <= SIG_SAMPLE_LEN, and the upto
@@ -698,9 +723,18 @@ def build_combing(
     alphabet = l.t.alphabet
     warnings: list[str] = []
 
-    t, balanced = _closed_generators(l)
+    half = td.strip_epsilon_cycles(td.trim(l.t))
+    if not half.terminals:
+        raise ValueError(
+            "the generator language is empty: the group is free on the images "
+            "of the alphabet and there is nothing to construct"
+        )
+    if half is l.t:
+        # the walks below cache adjacency lists on the automaton they read;
+        # a shallow copy keeps them off the caller's
+        half = copy.copy(half)
 
-    pairs = td.enumerate_pairs(t, SIG_SAMPLE_LEN)
+    pairs = _closure_pairs(half, SIG_SAMPLE_LEN)
     members = []
     seen_members = set()
     for u, v in pairs:
@@ -723,19 +757,19 @@ def build_combing(
         )
     marks = {sw.word: sw for sw in assignment}
 
+    balanced = td.check_balanced_cycles(half)
     if central and not balanced:
         raise ValueError(
             "central construction requires every cycle to read tapes of "
             "equal length, and some cycle is unbalanced"
         )
 
-    K = t.n + len(t.edges) + 1
-    core_v, core_e = core_subgraph(t)
-    upto_ok, upto_note = _check_upto(t, core_e, pairs, marks)
+    core_v, core_e = core_subgraph(half)
+    upto_ok, upto_note = _check_upto(half, core_e, pairs, marks)
     if not upto_ok:
         warnings.append(upto_note)
 
-    c0 = nfa_mod.minimize(_first_tape_core(t, core_v, core_e))
+    c0 = nfa_mod.minimize(_core_projections(half, core_v, core_e))
     mode = "sync" if central else "async"
     ft_emp = ft_bound_of_combing(c0, o, mode, FT_SAMPLE_LEN)
     if ft_emp is None:
@@ -745,7 +779,7 @@ def build_combing(
         )
     k_used = ft_emp + margin
 
-    tail_classes = _tail_classes(t, core_v, core_e, o)
+    tail_classes = _tail_classes(half, core_v, core_e, o)
     radius = 0
     for cls in tail_classes:
         d = o.distance_from_identity(cls)
@@ -800,12 +834,13 @@ def build_combing(
     if not c0_contained:
         warnings.append("C0 is not contained in C'")
 
+    vertices, t_edges, core_vertices, core_edges = _closure_sizes(half, core_v, core_e)
     report = BuildReport(
-        K=K,
-        vertices=t.n,
-        edges=len(t.edges),
-        core_vertices=len(core_v),
-        core_edges=len(core_e),
+        K=vertices + t_edges + 1,
+        vertices=vertices,
+        edges=t_edges,
+        core_vertices=core_vertices,
+        core_edges=core_edges,
         c0_states=c0.n,
         ft_empirical=ft_emp,
         ft_used=k_used,

@@ -251,11 +251,41 @@ def trim_fresh(a):
     return type(a)(a.alphabet, len(order), edges, remap[a.initial], terms)
 
 
+def inversion_closure(t):
+    """The transducer t ∪ t⁻¹: a root with ε edges to t and to its tape
+    swap, whose members are the inverses of t's."""
+    return nfa_mod.union(t, invert_linear(LinearLanguage(t, "inverse")).t)
+
+
 def closed_generators(l):
     """The generator transducer closed under inversion first, then trimmed
-    and stripped of (ε,ε) cycles: the order in which build_combing used to
-    prepare its input."""
-    return td.strip_epsilon_cycles(td.trim(nfa_mod.union(l.t, invert_linear(l).t)))
+    and stripped of (ε,ε) cycles: the automaton build_combing's stages
+    describe, which it reads off one half instead."""
+    return td.strip_epsilon_cycles(td.trim(inversion_closure(l.t)))
+
+
+def core_by_reach(t):
+    """structures.core_subgraph by its definition: the vertices that reach
+    a vertex on a cycle, and the edges into them."""
+    succ = {}
+    for s, _lab, d in t.edges:
+        succ.setdefault(s, []).append(d)
+    on_cycle = {u for u in range(t.n) if u in _closure(succ, succ.get(u, []))}
+    core_v = {v for v in range(t.n) if _closure(succ, [v]) & on_cycle}
+    return core_v, {e for e in t.edges if e[2] in core_v}
+
+
+def first_tape_core(t):
+    """C0 of t before minimizing, by its definition: the first-tape
+    projection of t's core, every state terminal, or {ε} when the core is
+    empty."""
+    core_v, core_e = core_by_reach(t)
+    if not core_v:
+        return Nfa(t.alphabet, 1, [], 0, [0])
+    order = sorted(core_v)
+    remap = {old: new for new, old in enumerate(order)}
+    edges = [(remap[s], lab[0], remap[d]) for s, lab, d in core_e]
+    return Nfa(t.alphabet, len(order), edges, remap[t.initial], range(len(order)))
 
 
 def strip_epsilon_cycles_fresh(t):

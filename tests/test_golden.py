@@ -363,6 +363,31 @@ def test_golden_s3_table_group():
     assert _sha256(fileformat.write(cprime)) == S3_CPRIME_SHA256
 
 
+@pytest.mark.parametrize("cap, fails", [(328, True), (329, False)])
+def test_s3_tail_guard_threshold(monkeypatch, cap, fails):
+    """The S₃ build's tail walk of the inversion closure holds 329 states:
+    its root and 164 in each half.  The guard fails the build past the cap,
+    and it counts those states whichever half it walks."""
+    gens, o = s3_extract()
+    monkeypatch.setattr(st, "DEFAULT_BALL_CAP", cap)
+    if fails:
+        with pytest.raises(RuntimeError, match=f"tail search exceeded {cap} states"):
+            st.build_combing(gens, o)
+    else:
+        _cprime, report = st.build_combing(gens, o)
+        assert str(report) == S3_REPORT
+
+
+def test_build_leaves_no_adjacency_on_its_input():
+    """The S₃ extract is trimmed and has no (ε,ε) cycle, so the build's
+    half is the input's transducer; the adjacency lists its walks cache
+    must not outlive the build on it."""
+    gens, o = s3_extract()
+    assert td.strip_epsilon_cycles(td.trim(gens.t)) is gens.t
+    st.build_combing(gens, o)
+    assert gens.t._adj is None
+
+
 def test_z2_extract_same_in_every_process():
     """The extracts' texts must not depend on the process: before Python
     3.12, hash(None) follows the object's address, so any id that follows

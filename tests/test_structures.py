@@ -35,8 +35,11 @@ from combings import structures
 from combings import transducer as td
 from bruteforce import (
     closed_generators,
+    core_by_reach,
+    first_tape_core,
     ft_bound_all_pairs,
     ft_distance_by_staircases,
+    inversion_closure,
     random_transducer,
     tail_classes_by_paths,
 )
@@ -402,11 +405,15 @@ def _transducers(draw, ab):
 @settings(max_examples=200, deadline=None)
 @given(hst.data())
 def test_tail_classes_match_every_off_core_path(data):
+    """_tail_classes reads the classes of the inversion closure off one
+    half, trimmed or not."""
     ab = data.draw(hst.sampled_from([AB1, AB2]))
     t = data.draw(_transducers(ab))
     o = data.draw(_oracles(ab))
     core_v, core_e = core_subgraph(t)
-    assert structures._tail_classes(t, core_v, core_e, o) == tail_classes_by_paths(t, core_v, o)
+    closure = inversion_closure(t)
+    want = tail_classes_by_paths(closure, core_by_reach(closure)[0], o)
+    assert structures._tail_classes(t, core_v, core_e, o) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -437,32 +444,47 @@ def test_build_stages_keep_automata_trimmed(data):
         assert nfa_mod.trim(union) is union
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(hst.data())
-def test_closed_generators_match_closing_first(data):
-    """Trimming and stripping one half before closing under inversion
-    builds the same automaton as closing first, with the same cycle
-    balance; an empty language is refused either way.  Extra (ε,ε) edges
-    make (ε,ε) cycles common."""
+def test_build_stages_read_off_the_half_match_the_closure(data):
+    """Every quantity build_combing reads off the trimmed, stripped half
+    equals the one computed on the closed generator automaton: the sorted
+    pairs, the sizes behind K, the minimized C0, the tail classes and the
+    cycle balance; an empty language is refused.  Extra (ε,ε) edges make
+    (ε,ε) cycles common; before they are added, half the drawn transducers
+    have no cycle.  The pairs here stop at length 5, the build's at
+    SIG_SAMPLE_LEN."""
     ab = data.draw(hst.sampled_from([AB1, AB2]))
     t = data.draw(_transducers(ab))
     state = hst.integers(0, t.n - 1)
     eps = data.draw(hst.lists(hst.tuples(state, state), max_size=t.n + 1))
-    t = Transducer(ab, t.n, t.edges | {(s, (None, None), d) for s, d in eps}, 0, t.terminals)
+    terms = t.terminals | data.draw(hst.sets(state, max_size=1))
+    t = Transducer(ab, t.n, t.edges | {(s, (None, None), d) for s, d in eps}, 0, terms)
     l = LinearLanguage(t, "inverse")
-    want = closed_generators(l)
-    if not want.terminals:
+    o = data.draw(_oracles(ab))
+    closed = closed_generators(l)
+    if not closed.terminals:
         with pytest.raises(ValueError, match="generator language is empty"):
-            structures._closed_generators(l)
+            build_combing(l, o)
         return
-    got, balanced = structures._closed_generators(l)
-    assert (got.n, got.edges, got.initial, got.terminals) == (
-        want.n,
-        want.edges,
-        want.initial,
-        want.terminals,
+    half = td.strip_epsilon_cycles(td.trim(t))
+    core_v, core_e = core_subgraph(half)
+    closed_v, closed_e = core_by_reach(closed)
+
+    assert structures._closure_pairs(half, 5) == td.enumerate_pairs(closed, 5)
+    sizes = structures._closure_sizes(half, core_v, core_e)
+    assert sizes == (closed.n, len(closed.edges), len(closed_v), len(closed_e))
+    got_c0 = nfa_mod.minimize(structures._core_projections(half, core_v, core_e))
+    want_c0 = nfa_mod.minimize(first_tape_core(closed))
+    assert (got_c0.n, got_c0.edges, got_c0.initial, got_c0.terminals) == (
+        want_c0.n,
+        want_c0.edges,
+        want_c0.initial,
+        want_c0.terminals,
     )
-    assert balanced == td.check_balanced_cycles(got)
+    got_tails = structures._tail_classes(half, core_v, core_e, o)
+    assert got_tails == tail_classes_by_paths(closed, closed_v, o)
+    assert td.check_balanced_cycles(half) == td.check_balanced_cycles(closed)
 
 
 def test_upto_check_flags_a_marked_letter_on_a_core_edge(ab2):
@@ -503,12 +525,14 @@ def test_upto_check_without_a_core_walks_no_path(z3_oracle, monkeypatch):
 
 def test_tail_classes_of_one_tail(ab2, free2_oracle):
     """One edge (a, b) leaves the core {0} for the terminal 1: the tails
-    are the prefixes of a·b⁻¹, so the classes are e0, a and a·b⁻¹."""
+    are the prefixes of a·b⁻¹, and in the tape swap those of b·a⁻¹, so the
+    classes are e0, a, a·b⁻¹, b and b·a⁻¹."""
     t = Transducer(ab2, 2, [(0, (0, 0), 0), (0, (0, 2), 1)], 0, [1])
     core_v, core_e = core_subgraph(t)
-    want = {(), (0,), (0, 3)}
+    want = {(), (0,), (0, 3), (2,), (2, 1)}
     assert structures._tail_classes(t, core_v, core_e, free2_oracle) == want
-    assert tail_classes_by_paths(t, core_v, free2_oracle) == want
+    closure = inversion_closure(t)
+    assert tail_classes_by_paths(closure, core_by_reach(closure)[0], free2_oracle) == want
 
 
 def test_extract_generators_z_conjugates(z_conj_oracle):
