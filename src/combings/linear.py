@@ -12,7 +12,7 @@ from typing import Optional
 from . import nfa as nfa_mod
 from . import transducer as td
 from .nfa import Nfa
-from .transducer import Transducer
+from .transducer import TEdge, Transducer
 from .words import Word, invert_word, shortlex_key
 
 MODES = ("inverse", "reversal")
@@ -53,32 +53,31 @@ def intersect_regular(l: LinearLanguage, r: Nfa) -> LinearLanguage:
     The shared product holds only the states that can still reach one of
     those terminals (see _rectangle_product); every state a trim keeps is
     among them, in the same relative order, so the trims number it alike.
+    The product is never built as a transducer: the rectangles are trimmed
+    and united straight from its explored edges (nfa._trim_union).
     """
     if l.t.alphabet != r.alphabet:
         raise ValueError("different alphabets")
     r = nfa_mod.trim(r)
-    both, keys, split_at = _rectangle_product(l.t, r, l.mode)
+    keys, edges, split_at = _rectangle_product(l.t, r, l.mode)
     term_sets: list[list[int]] = [[] for _ in range(r.n)]
     for i, (f, q) in enumerate(keys):
         if split_at[f] == q:
             term_sets[q].append(i)
-    parts = [p for p in nfa_mod._trim_each(both, term_sets) if p.terminals]
-    if not parts:
-        return LinearLanguage(
-            Transducer(l.t.alphabet, 1, [], 0, []), l.mode
-        )
-    return LinearLanguage(nfa_mod.union_all(parts), l.mode)
+    t = nfa_mod._trim_union(Transducer, r.alphabet, len(keys), edges, 0, term_sets, explored=True)
+    return LinearLanguage(t, l.mode)
 
 
 def _rectangle_product(
     t: Transducer, r: Nfa, mode: str
-) -> tuple[Transducer, list[tuple[int, int]], list[Optional[int]]]:
-    """The product of intersect_regular for a trimmed r, with its keys
-    (first-product state, r'-state) and, per first-product state, the
-    r-state p it splits at when its t-state is terminal (else None).
+) -> tuple[list[tuple[int, int]], list[TEdge], list[Optional[int]]]:
+    """The product of intersect_regular for a trimmed r, as the keys
+    (first-product state, r'-state) and edges _explore_side returns, vertex
+    0 initial, and, per first-product state, the r-state p it splits at
+    when its t-state is terminal (else None).
 
     The first product restricts tape 0 to r.  The second restricts tape 1
-    of it to r' and is built only on the pairs from which a rectangle
+    of it to r' and is explored only on the pairs from which a rectangle
     terminal (f, p) with split_at[f] == p can be reached, plus the initial
     pair.  A backward search finds those pairs; since every predecessor of
     one is one too, the forward search still meets them in the order the
@@ -88,8 +87,8 @@ def _rectangle_product(
     split_at = [q if p in t.terminals else None for p, q in first_keys]
     targets = [(f, q) for f, q in enumerate(split_at) if q is not None]
     live = td._coreachable_pairs(first, y_side, 1, targets)
-    both, keys = td._product_side(first, y_side, 1, live)
-    return both, keys, split_at
+    keys, edges = td._explore_side(first, y_side, 1, live)
+    return keys, edges, split_at
 
 
 def invert_linear(l: LinearLanguage) -> LinearLanguage:

@@ -9,8 +9,11 @@ relabelling, breadth-first renumbering) are written once here against
 Automaton and build the input's own class.  Every product construction
 (subset constructions, pair products, renumbering) numbers its vertices
 through _explore, the one numbering policy: breadth-first discovery order.
-Automata are immutable once built, so they are safe to share; every
-operation returns a new automaton.
+A product that is only ever trimmed is not built as an automaton at all:
+_trim_union trims its explored keys and edges to each terminal set and
+unites the pieces in one pass, so only what survives is validated and
+stored.  Automata are immutable once built, so they are safe to share;
+every operation returns a new automaton.
 """
 
 from __future__ import annotations
@@ -165,35 +168,67 @@ def _explore(start, moves) -> tuple[list, list[tuple]]:
 
 def trim(a: A) -> A:
     """Keep vertices both reachable from the initial vertex and co-reachable
-    to some terminal.  The initial vertex always survives, so an automaton
-    with empty language trims to a lone initial vertex with no terminals.
-    When every vertex is kept, the result is a itself."""
-    return _trim_each(a, [a.terminals])[0]
+    to some terminal, renumbered in increasing order of their old ids.  The
+    initial vertex always survives, so an automaton with empty language
+    trims to a lone initial vertex with no terminals.  When every vertex is
+    kept, the result is a itself."""
+    return _trim_union(type(a), a.alphabet, a.n, a.edges, a.initial, [a.terminals], whole=a)
 
 
-def _trim_each(a: A, term_sets: Iterable[Collection[int]]) -> list[A]:
-    """trim(a) once per terminal set.  The pieces share a's vertices, edges
-    and initial vertex, so the forward search, the reverse adjacency and
-    the forward-reachable edges are computed once; only the backward search
-    runs per set.  An edge from a reachable vertex into a co-reachable one
-    has both ends kept, so that is the whole edge filter.  For the set
-    a.terminals itself, when every vertex is kept, the piece is a."""
-    fwd = _search(_arrows(a.n, a.edges, True), [a.initial])
-    back = _arrows(a.n, a.edges, False)
-    fwd_edges = [e for e in a.edges if e[0] in fwd]
-    out = []
+def _trim_union(
+    cls: type[A],
+    alphabet: Alphabet,
+    n: int,
+    edges: Iterable[tuple],
+    initial: int,
+    term_sets: Iterable[Collection[int]],
+    explored: bool = False,
+    whole: Optional[A] = None,
+) -> A:
+    """union_all of the trims of the graph (n, edges, initial) to each
+    terminal set, leaving out those with empty language: the one nonempty
+    trim itself, without a root, when there is one (`whole` if given and
+    nothing is cut), and the trim of empty language, a lone initial vertex
+    with no terminals, when there is none.  The trims are never built: a
+    backward search over the in-edges of reachable vertices finds the
+    vertices a trim keeps, and their in-edges are its edges, so the work
+    per trim is proportional to the trim.  An explored graph, every vertex
+    of which is reachable, needs no forward search."""
+    reached = None if explored else _search(_arrows(n, edges, True), [initial])
+    into: list[list[tuple]] = [[] for _ in range(n)]
+    for e in edges:
+        if reached is None or e[0] in reached:
+            into[e[2]].append(e)
+    kept = []
     for terms in term_sets:
-        bwd = _search(back, terms)
-        if terms is a.terminals and len(fwd) == len(bwd) == a.n:
-            out.append(a)
-            continue
-        keep = (fwd & bwd) | {a.initial}
-        order = sorted(keep)
-        remap = {old: new for new, old in enumerate(order)}
-        edges = [(remap[s], lab, remap[d]) for s, lab, d in fwd_edges if d in bwd]
-        kept_terms = [remap[x] for x in terms if x in fwd]
-        out.append(type(a)(a.alphabet, len(order), edges, remap[a.initial], kept_terms))
-    return out
+        ends = [x for x in terms if reached is None or x in reached]
+        keep = set(ends)
+        stack = list(keep)
+        while stack:
+            for s, _lab, _d in into[stack.pop()]:
+                if s not in keep:
+                    keep.add(s)
+                    stack.append(s)
+        if ends:
+            kept.append((sorted(keep), ends))
+    if not kept:
+        return cls(alphabet, 1, [], 0, [])
+    if whole is not None and len(kept) == 1 and len(kept[0][0]) == n:
+        return whole
+    off = len(kept) - 1  # the roots of union_all come first
+    ats = []
+    for order, _ends in kept:
+        ats.append({old: off + new for new, old in enumerate(order)})
+        off += len(order)
+    inits = [at[initial] for at in ats]
+    out_edges = _root_chain(cls.EPS, inits)
+    out_terms: list[int] = []
+    for (order, ends), at in zip(kept, ats):
+        for d in order:
+            ad = at[d]
+            out_edges += [(at[s], lab, ad) for s, lab, _d in into[d]]
+        out_terms.extend(at[x] for x in ends)
+    return cls(alphabet, off, out_edges, inits[0] if len(kept) == 1 else 0, out_terms)
 
 
 def is_empty_language(a: Nfa) -> bool:
@@ -249,18 +284,20 @@ def union_all(parts: list[A]) -> A:
     offs = [k - 1]
     for p in parts[:-1]:
         offs.append(offs[-1] + p.n)
-    eps = cls.EPS
-    edges: list[tuple] = []
-    for j in range(k - 1):
-        nxt = j + 1 if j < k - 2 else offs[0] + parts[0].initial
-        last = k - 1 - j
-        edges.append((j, eps, nxt))
-        edges.append((j, eps, offs[last] + parts[last].initial))
+    edges = _root_chain(cls.EPS, [off + p.initial for off, p in zip(offs, parts)])
     terms: list[int] = []
     for off, p in zip(offs, parts):
         edges.extend((off + s, lab, off + d) for s, lab, d in p.edges)
         terms.extend(off + x for x in p.terminals)
     return cls(alphabet, offs[-1] + parts[-1].n, edges, 0, terms)
+
+
+def _root_chain(eps: Hashable, inits: list[int]) -> list[tuple]:
+    """The ε edges of union_all's roots 0..k-2 over k parts whose initial
+    vertices are inits."""
+    k = len(inits)
+    nxt = [*range(1, k - 1), inits[0]]
+    return [(j, eps, v) for j in range(k - 1) for v in (nxt[j], inits[k - 1 - j])]
 
 
 def concat(a: A, b: A) -> A:

@@ -495,8 +495,8 @@ def _tail_classes(t: Transducer, core_v: frozenset[int], core_e, o: GroupOracle)
 def _pair_product(c1: Nfa, c2: Nfa, o: GroupOracle, bl: CayleyBall):
     """Reachable product of two word automata without ε edges with a
     Cayley-ball tracker: states (p, q, h) with h the class of u^-1·v for
-    the prefixes read so far.  Returns the transducer (no terminals set)
-    plus the state list."""
+    the prefixes read so far.  Returns the state list and the edges over
+    it, vertex 0 initial, as _explore does."""
     if c1.alphabet != c2.alphabet:
         raise ValueError("different alphabets")
     inv = c1.alphabet.inv
@@ -517,8 +517,7 @@ def _pair_product(c1: Nfa, c2: Nfa, o: GroupOracle, bl: CayleyBall):
                     out.append(((x, y), (p2, q2, h2)))
         return out
 
-    statelist, edges = nfa_mod._explore((c1.initial, c2.initial, o.identity_element()), moves)
-    return Transducer(c1.alphabet, len(statelist), edges, 0, []), statelist
+    return nfa_mod._explore((c1.initial, c2.initial, o.identity_element()), moves)
 
 
 def extract_generators(c: Nfa, o: GroupOracle, ft_bound: int) -> LinearLanguage:
@@ -528,17 +527,22 @@ def extract_generators(c: Nfa, o: GroupOracle, ft_bound: int) -> LinearLanguage:
     Built per letter a as the C × C pair product over the radius-ft_bound
     Cayley ball, accepting at terminal × terminal × (class of a), with the
     pair (a, ε) appended; the union over letters is intersected with the
-    nonempty freely reduced words.  The product is built once and the
-    per-letter pieces are its trims to those terminal sets, which is all
-    they differ in.  Complete for pairs that asynchronously
-    fellow-travel within ft_bound; garbage in, garbage out when c is not
-    actually a combing.
+    nonempty freely reduced words.  The product is explored once and never
+    built as a transducer: each letter's tail, an (ε,ε) edge from each of
+    its terminals to a fresh vertex and an (a, ε) edge on to another, is
+    added to the explored edges, and nfa._trim_union trims the result to
+    each tail's last vertex and unites the pieces in one pass.  Complete
+    for pairs that asynchronously fellow-travel within ft_bound; garbage
+    in, garbage out when c is not actually a combing.  An oracle over
+    another alphabet than c's is refused before anything is built.
     """
+    if c.alphabet != o.alphabet:
+        raise ValueError("the combing and the oracle are over different alphabets")
     c = nfa_mod.remove_epsilon(nfa_mod.trim(c))
     bl = ball(o, ft_bound)
-    prod, statelist = _pair_product(c, c, o, bl)
+    statelist, edges = _pair_product(c, c, o, bl)
     alphabet = c.alphabet
-    letters = []
+    n = len(statelist)
     term_sets = []
     for a in range(len(alphabet)):
         ea = o.letter_element(a)
@@ -550,20 +554,14 @@ def extract_generators(c: Nfa, o: GroupOracle, ft_bound: int) -> LinearLanguage:
             if h == ea and p in c.terminals and q in c.terminals
         ]
         if terms:
-            letters.append(a)
-            term_sets.append(terms)
-    pieces = []
-    for a, rho in zip(letters, nfa_mod._trim_each(prod, term_sets)):
-        if not rho.terminals:
-            continue
-        tail = td.from_pairs(alphabet, [(Word(alphabet, (a,)), alphabet.empty_word())])
-        pieces.append(nfa_mod.concat(rho, tail))
-    if not pieces:
-        return LinearLanguage(Transducer(alphabet, 1, [], 0, []), "inverse")
-    # a union of trimmed pieces is trimmed
-    lang = LinearLanguage(nfa_mod.union_all(pieces), "inverse")
+            edges.extend((i, (None, None), n) for i in terms)
+            edges.append((n, (a, None), n + 1))
+            term_sets.append([n + 1])
+            n += 2
+    u = nfa_mod._trim_union(Transducer, alphabet, n, edges, 0, term_sets, explored=True)
+    del statelist, edges  # free the product before the rectangle product peaks
     reduced = nfa_mod.freely_reduced_lang(alphabet, include_empty=False)
-    return intersect_regular(lang, reduced)
+    return intersect_regular(LinearLanguage(u, "inverse"), reduced)
 
 
 # --------------------------------------------------------------- construction
@@ -653,15 +651,15 @@ def _check_upto(t: Transducer, core_e, pairs, marks: dict) -> tuple[bool, str]:
     return True, ""
 
 
-def _shared_difference(c0: Nfa, prod: Transducer, statelist):
+def _shared_difference(c0: Nfa, statelist, prod_edges):
     """DFA(C0) times the subset construction of the first tape of the pair
-    product, shared by every suffix candidate x.  Returns (n, edges, bit,
-    masks): bit gives a bit of its own to each class h of a pair-product
-    state (p, q, h) with p and q terminal in C0, and masks maps each vertex
-    where C0 accepts to the bits of such classes in its subset.  C0 minus
-    N_x is this automaton accepting where the mask misses the bits of x's
-    dset."""
-    proj = Nfa(c0.alphabet, prod.n, [(s, lab[0], d) for s, lab, d in prod.edges], prod.initial, [])
+    product, given by its states and edges, shared by every suffix
+    candidate x.  Returns (n, edges, bit, masks): bit gives a bit of its own
+    to each class h of a pair-product state (p, q, h) with p and q terminal
+    in C0, and masks maps each vertex where C0 accepts to the bits of such
+    classes in its subset.  C0 minus N_x is this automaton accepting where
+    the mask misses the bits of x's dset."""
+    proj = Nfa(c0.alphabet, len(statelist), [(s, lab[0], d) for s, lab, d in prod_edges], 0, [])
     edges, c0_accepts, subsets = nfa_mod._subset_product(c0, proj)
     ends = c0.terminals
     end_h = {j: h for j, (p, q, h) in enumerate(statelist) if p in ends and q in ends}
@@ -801,7 +799,7 @@ def build_combing(
     )
 
     # C0 is minimal: trimmed, and without the ε edges the pair product forbids
-    prod, statelist = _pair_product(c0, c0, o, bl_r)
+    statelist, prod_edges = _pair_product(c0, c0, o, bl_r)
     reach_h = {h for (_p, _q, h) in statelist}
 
     x_elems = [(x, o.element(x)) for x in xs]
@@ -816,7 +814,7 @@ def build_combing(
                 dset.add(diff)
         if dset:
             if shared is None:
-                shared = _shared_difference(c0, prod, statelist)
+                shared = _shared_difference(c0, statelist, prod_edges)
             n, edges, bit, masks = shared
             dmask = sum(bit.get(h, 0) for h in dset)
             terms = [j for j, m in masks.items() if not m & dmask]
@@ -848,7 +846,7 @@ def build_combing(
         x_candidates=len(xs),
         x_kept=kept,
         ball_radius=radius_r,
-        product_states=prod.n,
+        product_states=len(statelist),
         upto_ok=upto_ok,
         balanced_cycles=balanced,
         c0_contained=c0_contained,

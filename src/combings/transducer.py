@@ -111,22 +111,30 @@ def project(t: Transducer, coordinate: str) -> Nfa:
     return Nfa(t.alphabet, t.n, edges, t.initial, t.terminals)
 
 
-def _product_side(
+def _product_side(t: Transducer, r: Nfa, side: int):
+    """Restrict tape `side` (0 or 1) of t to the language of r: the product
+    _explore_side explores, with its keys, terminal where both t and r are."""
+    keys, edges = _explore_side(t, r, side)
+    terms = [i for i, (p, q) in enumerate(keys) if p in t.terminals and q in r.terminals]
+    return Transducer(t.alphabet, len(keys), edges, 0, terms), keys
+
+
+def _explore_side(
     t: Transducer,
     r: Nfa,
     side: int,
     _allowed: Optional[Collection[tuple[int, int]]] = None,
-) -> tuple[Transducer, list[tuple[int, int]]]:
-    """Restrict tape `side` (0 or 1) of t to the language of r.
+) -> tuple[list[tuple[int, int]], list[TEdge]]:
+    """The keys and edges of the product restricting tape `side` of t to r,
+    as _explore returns them: vertex 0 is (t.initial, r.initial).
 
-    Product states are pairs (t-state, r-state), returned in id order next
-    to the product.  A t-edge whose tape label is epsilon leaves the r-state
-    in place (the loop trick: r is padded with epsilon loops at every
-    vertex); r's own epsilon edges advance alone under an (ε,ε) label.
-    Both adjacencies are walked in sorted label order, so the ids do not
-    depend on the iteration order of the edge sets.  With `_allowed`, only
-    the initial pair and the pairs in it are created, and edges into any
-    other pair are dropped.
+    Product states are pairs (t-state, r-state).  A t-edge whose tape label
+    is epsilon leaves the r-state in place (the loop trick: r is padded with
+    epsilon loops at every vertex); r's own epsilon edges advance alone
+    under an (ε,ε) label.  Both adjacencies are walked in sorted label
+    order, so the ids do not depend on the iteration order of the edge
+    sets.  With `_allowed`, only the initial pair and the pairs in it are
+    created, and edges into any other pair are dropped.
     """
     if t.alphabet != r.alphabet:
         raise ValueError("different alphabets")
@@ -152,16 +160,14 @@ def _product_side(
                 out.append(((None, None), (p, q2)))
         return out
 
-    keys, edges = nfa_mod._explore(start, moves)
-    terms = [i for i, (p, q) in enumerate(keys) if p in t.terminals and q in r.terminals]
-    return Transducer(t.alphabet, len(keys), edges, 0, terms), keys
+    return nfa_mod._explore(start, moves)
 
 
 def _coreachable_pairs(
     t: Transducer, r: Nfa, side: int, targets: Iterable[tuple[int, int]]
 ) -> set[tuple[int, int]]:
-    """The pairs (t-state, r-state) of the product _product_side(t, r, side)
-    would build, reachable or not, from which some pair in targets can be
+    """The pairs (t-state, r-state) of the product _explore_side(t, r, side)
+    would explore, reachable or not, from which some pair in targets can be
     reached: a backward search over the same three moves, read in reverse.
     Every predecessor of such a pair is such a pair too."""
     tback: list[list[tuple[Optional[int], int]]] = [[] for _ in range(t.n)]

@@ -251,6 +251,17 @@ def trim_fresh(a):
     return type(a)(a.alphabet, len(order), edges, remap[a.initial], terms)
 
 
+def trim_union_fresh(a, term_sets):
+    """nfa._trim_union by its definition: a trimmed with trim_fresh once per
+    terminal set, the pieces with empty language dropped, the rest folded
+    with union; a trimmed without terminals when no piece is left."""
+    pieces = [trim_fresh(type(a)(a.alphabet, a.n, a.edges, a.initial, s)) for s in term_sets]
+    pieces = [p for p in pieces if p.terminals]
+    if not pieces:
+        return trim_fresh(type(a)(a.alphabet, a.n, a.edges, a.initial, []))
+    return union_fold(pieces)
+
+
 def inversion_closure(t):
     """The transducer t ∪ t⁻¹: a root with ε edges to t and to its tape
     swap, whose members are the inverses of t's."""

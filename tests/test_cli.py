@@ -7,6 +7,7 @@ from combings import transducer as td
 from combings import cli
 from combings.cli import main
 from bruteforce import pairs_of_transducer
+from test_structures import Z2_SHORTLEX_EDGES
 
 
 AB = Alphabet.from_pairs([("a", "A"), ("b", "B")])
@@ -236,6 +237,24 @@ def test_extract_verb(tmp_path, capsys):
     from combings.linear import enumerate_members
 
     assert [str(w) for w in enumerate_members(lang, 3)] == ["b", "B", "abA", "aBA", "Aba", "ABa"]
+
+
+@pytest.mark.parametrize(
+    "pairs, weights",
+    [([("a", "A")], {"a": [1, 0]}), ([("x", "X"), ("y", "Y")], {"x": [1, 0], "y": [0, 1]})],
+    ids=["fewer letters", "other letters"],
+)
+def test_extract_verb_refuses_an_oracle_over_another_alphabet(tmp_path, capsys, pairs, weights):
+    """The ℤ² shortlex combing with an oracle over other letters: an error
+    message and the checked-failure code, not a traceback or an answer."""
+    cf = _write(tmp_path, "c.nfa", Nfa(AB, 5, Z2_SHORTLEX_EDGES, 0, range(5)))
+    of = _write(tmp_path, "o.oracle", AbelianOracle(Alphabet.from_pairs(pairs), 2, weights))
+    out = tmp_path / "gens.lin"
+    assert main(["extract", cf, "--oracle", of, "--ft", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: the combing and the oracle are over different alphabets\n"
+    )
+    assert not out.exists()
 
 
 def test_build_verb(tmp_path, capsys, z_generators):

@@ -557,6 +557,64 @@ def test_extract_generators_free_group_is_empty(ab2, free2_oracle):
     assert lin.enumerate_members(gens, 6) == []
 
 
+# the README's shortlex combing of ℤ² over a A b B
+Z2_SHORTLEX_EDGES = [
+    (0, 0, 1), (1, 0, 1), (0, 1, 2), (2, 1, 2),
+    (0, 2, 3), (1, 2, 3), (2, 2, 3), (3, 2, 3),
+    (0, 3, 4), (1, 3, 4), (2, 3, 4), (4, 3, 4),
+]
+
+
+@pytest.mark.parametrize(
+    "pairs, weights",
+    [
+        ([("a", "A")], {"a": [1, 0]}),
+        ([("x", "X"), ("y", "Y")], {"x": [1, 0], "y": [0, 1]}),
+    ],
+    ids=["fewer letters", "other letters"],
+)
+def test_extract_generators_refuses_an_oracle_over_another_alphabet(
+    ab2, monkeypatch, pairs, weights
+):
+    """An oracle over fewer letters used to fail inside the pair product
+    with an IndexError, and one over as many other letters matched the
+    letters by index; both are refused before any product is built."""
+    c = Nfa(ab2, 5, Z2_SHORTLEX_EDGES, 0, range(5))
+    o = AbelianOracle(Alphabet.from_pairs(pairs), 2, weights)
+
+    def no_product(*args):
+        raise AssertionError("a product was built")
+
+    monkeypatch.setattr(structures, "_pair_product", no_product)
+    with pytest.raises(ValueError, match="different alphabets"):
+        extract_generators(c, o, ft_bound=2)
+
+
+def test_s5_extract_builds_three_large_automata(monkeypatch):
+    """The S₅ extract of the benchmark, the shortlex trie at the Cayley
+    graph's diameter, validates and stores only three automata with more
+    than 1000 edges: the letter-piece union, its tape-0 product and the
+    answer.  The pair product and the rectangle product are trimmed and
+    united straight from their explored edges; building them and their
+    pieces as automata takes 17 such constructions."""
+    table, gens = REF.symmetric(5, None)
+    n, edges, diameter = REF.shortlex_trie(table, REF.letter_images(table, gens))
+    o = FiniteOracle(AB2, table, dict(zip("ab", gens)))
+    c = Nfa(AB2, n, edges, 0, range(n))
+    sizes = []
+    init = nfa_mod.Automaton.__init__
+
+    def counted(self, *args, **kw):
+        init(self, *args, **kw)
+        sizes.append(len(self.edges))
+
+    monkeypatch.setattr(nfa_mod.Automaton, "__init__", counted)
+    gens_lang = extract_generators(c, o, diameter)
+    large = [m for m in sizes if m > 1000]
+    assert len(large) <= 3
+    assert len(gens_lang.t.edges) in large
+
+
 def test_build_combing_z(z_generators, z_conj_oracle):
     l = LinearLanguage(z_generators, "inverse")
     cprime, report = build_combing(l, z_conj_oracle, central=True)

@@ -15,6 +15,7 @@ from bruteforce import (
     random_word,
     strip_epsilon_cycles_fresh,
     trim_fresh,
+    trim_union_fresh,
     union_fold,
     words_upto,
 )
@@ -121,22 +122,43 @@ def test_trim_preserves_pairs(rng, ab2):
         assert pairs_of_transducer(td.trim(t), 5) == pairs_of_transducer(t, 5)
 
 
-def test_trim_each_matches_trim(rng, ab2):
-    for _ in range(40):
-        t = random_transducer(rng, ab2, max_states=7)
-        sets = [
-            [q for q in range(t.n) if rng.random() < frac]
-            for frac in (0.0, 0.2, 0.5, 1.0)
-        ]
-        rng.shuffle(sets)
-        got = nfa_mod._trim_each(t, sets)
-        untrimmed = [Transducer(ab2, t.n, t.edges, t.initial, s) for s in sets]
-        want = [td.trim(u) for u in untrimmed]
-        assert [(g.n, g.edges, g.initial, g.terminals) for g in got] == [
-            (w.n, w.edges, w.initial, w.terminals) for w in want
-        ]
-        for g, u in zip(got, untrimmed):
-            assert pairs_of_transducer(g, 4) == pairs_of_transducer(u, 4)
+@settings(max_examples=300, deadline=None)
+@given(
+    hst.randoms(use_true_random=False),
+    hst.sampled_from([random_nfa, random_transducer]),
+    hst.booleans(),
+)
+def test_trim_union_against_trim_then_union(rnd, make, explored):
+    """nfa._trim_union numbers its result exactly as trimming a to each
+    terminal set, dropping the empty pieces and folding union over the rest:
+    on automata with unreachable and dead vertices and ε edges, with empty,
+    duplicate and overlapping terminal sets, one nonempty piece (returned
+    without a root) or none (a lone vertex).  An explored graph, all of whose
+    vertices are reachable, gives the same answer without the forward
+    search."""
+    a = make(rnd, AB2, max_states=6, eps_frac=0.3)
+    initial = rnd.randrange(a.n)
+    if explored:
+        adj = a.adjacency()
+        keys, edges = nfa_mod._explore(initial, lambda p: adj[p])
+        a = type(a)(AB2, len(keys), edges, 0, [])
+    else:
+        a = type(a)(AB2, a.n, a.edges, initial, [])
+    sets = [
+        [rnd.randrange(a.n) for _ in range(rnd.randint(0, 3))]
+        for _ in range(rnd.randint(0, 4))
+    ]
+    if sets and rnd.random() < 0.3:
+        sets.append(list(sets[0]))
+    got = nfa_mod._trim_union(type(a), AB2, a.n, a.edges, a.initial, sets, explored=explored)
+    want = trim_union_fresh(a, sets)
+    assert type(got) is type(a)
+    assert (got.n, got.edges, got.initial, got.terminals) == (
+        want.n,
+        want.edges,
+        want.initial,
+        want.terminals,
+    )
 
 
 def test_union_concat(rng, ab2):
