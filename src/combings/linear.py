@@ -51,7 +51,8 @@ def intersect_regular(l: LinearLanguage, r: Nfa) -> LinearLanguage:
     product: its states (t-state, r-state, r'-state) are built once, and
     rectangle p is that product trimmed to the terminals (t-terminal, p, p).
     The shared product holds only the states that can still reach one of
-    those terminals (see _rectangle_product); every state a trim keeps is
+    those terminals, found as one bit set of r'-states per (t-state,
+    r-state) pair (see _rectangle_product); every state a trim keeps is
     among them, in the same relative order, so the trims number it alike.
     The product is never built as a transducer: the rectangles are trimmed
     and united straight from its explored edges (nfa._trim_union).
@@ -79,14 +80,15 @@ def _rectangle_product(
     The first product restricts tape 0 to r.  The second restricts tape 1
     of it to r' and is explored only on the pairs from which a rectangle
     terminal (f, p) with split_at[f] == p can be reached, plus the initial
-    pair.  A backward search finds those pairs; since every predecessor of
-    one is one too, the forward search still meets them in the order the
-    full product would number them."""
+    pair.  A backward worklist over the first product's in-edges finds
+    them as one bit set of r'-states per first-product state; since every
+    predecessor of such a pair is one too, the forward search still meets
+    them in the order the full product would number them."""
     y_side = nfa_mod.inverse_lang(r) if mode == "inverse" else nfa_mod.reverse(r)
     first, first_keys = td._product_side(t, r, 0)
     split_at = [q if p in t.terminals else None for p, q in first_keys]
     targets = [(f, q) for f, q in enumerate(split_at) if q is not None]
-    live = td._coreachable_pairs(first, y_side, 1, targets)
+    live = td._coreachable_masks(first, y_side, 1, targets)
     keys, edges = td._explore_side(first, y_side, 1, live)
     return keys, edges, split_at
 

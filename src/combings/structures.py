@@ -10,6 +10,8 @@ prefix-closed combing with uniqueness.
 from __future__ import annotations
 
 import copy
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -29,6 +31,21 @@ FT_SAMPLE_LEN = 6  # member length of the fellow-traveler samples of a build
 FT_CAP = 64  # largest fellow-traveler distance ft_bound_of_combing measures
 FT_MAX_MEMBERS = 2000  # members ft_bound_of_combing pairs up, shortlex first
 UPTO_PAIRS = 60  # sampled pairs whose marked letter's edge is checked off-core
+
+
+@contextmanager
+def _cyclic_gc_paused():
+    """Pause the cyclic garbage collector, and resume it on exit only if it
+    ran on entry, also when the body raises.  Extract and build allocate
+    large acyclic graphs that each collection would rescan for nothing;
+    reference counting still frees everything they drop."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------- significant
@@ -260,7 +277,9 @@ def check_combing(c: Nfa, o: GroupOracle, ball_radius: int, maxlen: int) -> Comb
     uniqueness: every prefix of an enumerated member is accepted, every
     ball element is hit exactly once by enumerated members, and no
     nonempty subword of a member is oracle-trivial.  Each failed flag
-    comes with a concrete witness."""
+    comes with a concrete witness.  A negative maxlen is refused."""
+    if maxlen < 0:
+        raise ValueError(f"maxlen must be nonnegative, not {maxlen}")
     members = nfa_mod.enumerate_words(c, maxlen)
     mset = set(members)
     violations: list[str] = []
@@ -496,30 +515,46 @@ def _pair_product(c1: Nfa, c2: Nfa, o: GroupOracle, bl: CayleyBall):
     """Reachable product of two word automata without ε edges with a
     Cayley-ball tracker: states (p, q, h) with h the class of u^-1·v for
     the prefixes read so far.  Returns the state list and the edges over
-    it, vertex 0 initial, as _explore does."""
+    it, vertex 0 initial, as _explore does.  Each move x^-1·h·y is read off
+    a row built the first time the walk reaches h, mapping each letter x
+    of c1 or ε, then each letter y of c2 or ε, to the ball id of x^-1·h·y,
+    None outside the ball; x^-1·h itself may lie outside."""
     if c1.alphabet != c2.alphabet:
         raise ValueError("different alphabets")
     inv = c1.alphabet.inv
     a1 = c1.adjacency()
     a2 = c2.adjacency()
+    elems = list(bl.dist)
+    ids = {e: i for i, e in enumerate(elems)}
+    xs, ys = ([None, *{e[1] for e in c.edges}] for c in (c1, c2))
+    rows: list[Optional[dict]] = [None] * len(elems)
+
+    def row(h: int) -> dict:
+        out = rows[h] = {}
+        for x in xs:
+            e = elems[h] if x is None else o.mul_left(inv[x], elems[h])
+            # every move reads a letter
+            out[x] = {y: ids.get(e if y is None else o.mul_right(e, y)) for y in (ys[1:] if x is None else ys)}
+        return out
 
     def moves(key):
         p, q, h = key
+        steps = rows[h] or row(h)
         moves2 = a2[q] + [(None, q)]
         out = []
         for x, p2 in a1[p] + [(None, p)]:
-            h1 = h if x is None else o.mul_left(inv[x], h)
+            ends = steps[x]
             for y, q2 in moves2:
-                if x is None and y is None:
-                    continue  # every move reads a letter
-                h2 = h1 if y is None else o.mul_right(h1, y)
-                if h2 in bl.dist:
+                h2 = ends.get(y)
+                if h2 is not None:
                     out.append(((x, y), (p2, q2, h2)))
         return out
 
-    return nfa_mod._explore((c1.initial, c2.initial, o.identity_element()), moves)
+    keys, edges = nfa_mod._explore((c1.initial, c2.initial, ids[o.identity_element()]), moves)
+    return [(p, q, elems[h]) for p, q, h in keys], edges
 
 
+@_cyclic_gc_paused()
 def extract_generators(c: Nfa, o: GroupOracle, ft_bound: int) -> LinearLanguage:
     """From a combing C, the linear language {u·a·v^-1 : u,v in C, ū·ā = v̄,
     freely reduced}, whose members normally generate the kernel.
@@ -534,7 +569,8 @@ def extract_generators(c: Nfa, o: GroupOracle, ft_bound: int) -> LinearLanguage:
     each tail's last vertex and unites the pieces in one pass.  Complete
     for pairs that asynchronously fellow-travel within ft_bound; garbage
     in, garbage out when c is not actually a combing.  An oracle over
-    another alphabet than c's is refused before anything is built.
+    another alphabet than c's is refused before anything is built.  The
+    cyclic garbage collector is paused while it runs (_cyclic_gc_paused).
     """
     if c.alphabet != o.alphabet:
         raise ValueError("the combing and the oracle are over different alphabets")
@@ -675,6 +711,7 @@ def _shared_difference(c0: Nfa, statelist, prod_edges):
     return len(subsets), edges, bit, masks
 
 
+@_cyclic_gc_paused()
 def build_combing(
     l: LinearLanguage, o: GroupOracle, central: bool = False, margin: int = 2
 ) -> tuple[Nfa, BuildReport]:
@@ -712,7 +749,8 @@ def build_combing(
     in the image, so only a non-L1 abelian oracle searches, growing its
     cached ball until the class appears, and a class beyond
     DEFAULT_BALL_CAP elements fails the build.  A negative margin is
-    refused before any stage runs.
+    refused before any stage runs.  The cyclic garbage collector is paused
+    while it runs (_cyclic_gc_paused).
     """
     if l.mode != "inverse":
         raise ValueError("build_combing expects the u·v^-1 convention")

@@ -11,7 +11,7 @@ automaton can tell a transducer apart.  What is here reads the two tapes.
 from __future__ import annotations
 
 from collections import deque
-from typing import Collection, Iterable, Optional
+from typing import Iterable, Optional
 
 from . import nfa as nfa_mod
 from .nfa import Automaton, Nfa
@@ -123,7 +123,7 @@ def _explore_side(
     t: Transducer,
     r: Nfa,
     side: int,
-    _allowed: Optional[Collection[tuple[int, int]]] = None,
+    _allowed: Optional[list[int]] = None,
 ) -> tuple[list[tuple[int, int]], list[TEdge]]:
     """The keys and edges of the product restricting tape `side` of t to r,
     as _explore returns them: vertex 0 is (t.initial, r.initial).
@@ -133,8 +133,11 @@ def _explore_side(
     epsilon loops at every vertex); r's own epsilon edges advance alone
     under an (ε,ε) label.  Both adjacencies are walked in sorted label
     order, so the ids do not depend on the iteration order of the edge
-    sets.  With `_allowed`, only the initial pair and the pairs in it are
-    created, and edges into any other pair are dropped.
+    sets.  With `_allowed`, a bit set of r-states per t-state as
+    _coreachable_masks gives it, only the initial pair and the pairs (p, q)
+    with bit q of _allowed[p] set are created, and edges into any other
+    pair are dropped; edges into the initial pair are kept even when its
+    own bit is clear.
     """
     if t.alphabet != r.alphabet:
         raise ValueError("different alphabets")
@@ -143,8 +146,8 @@ def _explore_side(
     for q, row in enumerate(nfa_mod._sorted_adjacency(r)):
         for _rkey, q2, rl in row:
             rnext[q].setdefault(rl, []).append(q2)
-    start = (t.initial, r.initial)
-    allowed = None if _allowed is None else {start, *_allowed}
+    allowed = [-1] * t.n if _allowed is None else list(_allowed)  # -1: every bit set
+    allowed[t.initial] |= 1 << r.initial
 
     def moves(key):
         p, q = key
@@ -152,46 +155,56 @@ def _explore_side(
         out = []
         for _key, p2, lab in tadj[p]:
             x = lab[side]
+            live = allowed[p2]
             for q2 in (q,) if x is None else nxt.get(x, ()):
-                if allowed is None or (p2, q2) in allowed:
+                if live >> q2 & 1:
                     out.append((lab, (p2, q2)))
+        live = allowed[p]
         for q2 in nxt.get(None, ()):
-            if allowed is None or (p, q2) in allowed:
+            if live >> q2 & 1:
                 out.append(((None, None), (p, q2)))
         return out
 
-    return nfa_mod._explore(start, moves)
+    return nfa_mod._explore((t.initial, r.initial), moves)
 
 
-def _coreachable_pairs(
+def _coreachable_masks(
     t: Transducer, r: Nfa, side: int, targets: Iterable[tuple[int, int]]
-) -> set[tuple[int, int]]:
-    """The pairs (t-state, r-state) of the product _explore_side(t, r, side)
-    would explore, reachable or not, from which some pair in targets can be
-    reached: a backward search over the same three moves, read in reverse.
-    Every predecessor of such a pair is such a pair too."""
+) -> list[int]:
+    """Per t-state p, the bit set of the r-states q such that the pair
+    (p, q) of the product _explore_side(t, r, side) would explore, reachable
+    or not, can reach some pair in targets.  A backward worklist over t's
+    in-edges: a letter x on the tape maps a set through r's x-predecessor
+    rows, an ε on the tape keeps it, and r's own ε edges, read backward,
+    close every set.  Every predecessor of such a pair is such a pair too."""
+    eps = nfa_mod._arrows(r.n, [e for e in r.edges if e[1] is None], False)
+    # closed[q]: the r-states with an ε path to q, q among them
+    closed = [sum(1 << v for v in nfa_mod._search(eps, [q])) for q in range(r.n)]
+    # rows[x][q2]: the closed set of the r-states with an x edge to q2
+    rows = [[0] * r.n for _ in range(len(r.alphabet))]
+    for q, x, q2 in r.edges:
+        if x is not None:
+            rows[x][q2] |= closed[q]
     tback: list[list[tuple[Optional[int], int]]] = [[] for _ in range(t.n)]
     for p, lab, p2 in t.edges:
         tback[p2].append((lab[side], p))
-    rback: list[dict[Optional[int], list[int]]] = [{} for _ in range(r.n)]
-    for q, x, q2 in r.edges:
-        rback[q2].setdefault(x, []).append(q)
-    seen = set(targets)
-    stack = list(seen)
+    mask = [0] * t.n
+    for f, q in targets:
+        mask[f] |= closed[q]
+    stack = [f for f in range(t.n) if mask[f]]
     while stack:
-        p2, q2 = stack.pop()
-        into = rback[q2]
-        prev = [(p2, q) for q in into.get(None, ())]
+        p2 = stack.pop()
+        s = mask[p2]
         for x, p in tback[p2]:
-            if x is None:
-                prev.append((p, q2))
-            else:
-                prev.extend((p, q) for q in into.get(x, ()))
-        for key in prev:
-            if key not in seen:
-                seen.add(key)
-                stack.append(key)
-    return seen
+            m, rest = (s, 0) if x is None else (0, s)
+            while rest:
+                low = rest & -rest
+                m |= rows[x][low.bit_length() - 1]
+                rest ^= low
+            if m & ~mask[p]:
+                mask[p] |= m
+                stack.append(p)
+    return mask
 
 
 def intersect_rect(t: Transducer, r: Nfa, s: Nfa) -> Transducer:

@@ -348,6 +348,58 @@ def rectangle_product_unpruned(t, r, mode):
     return [keys[i] for i in order], edges, remap[both.initial]
 
 
+def coreachable_pairs_bf(t, r, side, targets):
+    """The pairs (t-state, r-state) that can reach some pair in targets in
+    the product restricting tape `side` of t to r, taken over every pair,
+    reachable or not: each pair's moves listed from the definition (a t-edge
+    reading x on the tape moves r along an x edge, or leaves it in place
+    when x is ε; an ε edge of r moves alone), then a backward search."""
+    pred = {}
+    for p in range(t.n):
+        for q in range(r.n):
+            nexts = [(p, q2) for q1, y, q2 in r.edges if q1 == q and y is None]
+            for s, lab, p2 in t.edges:
+                if s != p:
+                    continue
+                x = lab[side]
+                if x is None:
+                    nexts.append((p2, q))
+                else:
+                    nexts.extend((p2, q2) for q1, y, q2 in r.edges if q1 == q and y == x)
+            for key in nexts:
+                pred.setdefault(key, []).append((p, q))
+    return _closure(pred, set(targets))
+
+
+def pair_product_bf(c1, c2, o, bl):
+    """structures._pair_product by its definition: a breadth-first walk over
+    states (p, q, h), each move reading a letter x of c1, a letter y of c2
+    or both, with h going to x⁻¹·h·y as the oracle's mul computes it from
+    the letters' elements, kept when that lies in the ball bl.  Each
+    automaton's moves are its edges out of the state in edge-set order,
+    then staying put.  Returns the states and the edges, as _explore does."""
+    inv = c1.alphabet.inv
+    start = (c1.initial, c2.initial, o.identity_element())
+    ids = {start: 0}
+    keys = [start]
+    edges = []
+    for i, (p, q, h) in enumerate(keys):
+        for x, p2 in [(x, d) for s, x, d in c1.edges if s == p] + [(None, p)]:
+            for y, q2 in [(y, d) for s, y, d in c2.edges if s == q] + [(None, q)]:
+                if x is None and y is None:
+                    continue
+                h2 = h if x is None else o.mul(o.letter_element(inv[x]), h)
+                h2 = h2 if y is None else o.mul(h2, o.letter_element(y))
+                if h2 not in bl.dist:
+                    continue
+                key = (p2, q2, h2)
+                if key not in ids:
+                    ids[key] = len(keys)
+                    keys.append(key)
+                edges.append((i, (x, y), ids[key]))
+    return keys, edges
+
+
 def _staircases(m, n):
     """Every monotone path of grid cells from (0, 0) to (m, n) with steps
     right, down or diagonal."""

@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import itertools
 from fractions import Fraction
@@ -17,6 +18,7 @@ from combings import (
     SigWord,
     Transducer,
     Word,
+    ball,
     build_combing,
     check_central,
     check_combing,
@@ -40,6 +42,7 @@ from bruteforce import (
     ft_bound_all_pairs,
     ft_distance_by_staircases,
     inversion_closure,
+    pair_product_bf,
     random_transducer,
     tail_classes_by_paths,
 )
@@ -176,6 +179,16 @@ def test_check_combing_identity_subword(ab1, z_oracle):
     rep = check_combing(_finite(ab1, ws), z_oracle, 1, 2)
     assert not rep.no_identity_subwords
     assert any("identity" in v for v in rep.violations)
+
+
+def test_check_combing_rejects_negative_maxlen(ab1, z_oracle):
+    """A negative maxlen is refused, as ft_bound_of_combing refuses it,
+    instead of a FAIL report whose witness is hit by no member of length
+    <= -1."""
+    c = Nfa(ab1, 1, [(0, 0, 0), (0, 1, 0)], 0, [0])
+    with pytest.raises(ValueError, match="maxlen"):
+        check_combing(c, z_oracle, ball_radius=1, maxlen=-1)
+    assert check_combing(c, z_oracle, ball_radius=0, maxlen=0).passed
 
 
 def test_ft_bound_of_combing(ab1, z_oracle):
@@ -613,6 +626,63 @@ def test_s5_extract_builds_three_large_automata(monkeypatch):
     large = [m for m in sizes if m > 1000]
     assert len(large) <= 3
     assert len(gens_lang.t.edges) in large
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.data())
+def test_pair_product_matches_oracle_products(data):
+    """The step table of _pair_product gives the states and edges, in
+    order, of the walk that multiplies every move x^-1·h·y through the
+    oracle: on free, L1 and non-L1 abelian and finite-table oracles."""
+    ab = data.draw(hst.sampled_from([AB1, AB2]))
+    o = data.draw(_oracles(ab))
+    c1, c2 = (nfa_mod.remove_epsilon(data.draw(_nfas(ab))) for _ in range(2))
+    bl = ball(o, data.draw(hst.integers(0, 3)))
+    assert structures._pair_product(c1, c2, o, bl) == pair_product_bf(c1, c2, o, bl)
+
+
+def test_pair_product_keeps_a_move_whose_middle_leaves_the_ball(ab1, z_oracle):
+    """In ℤ at radius 1, the move (A, A) from h = a passes through
+    A^-1·a = a² outside the ball and ends at a² · A = a inside it."""
+    c = Nfa(ab1, 1, [(0, 0, 0), (0, 1, 0)], 0, [0])
+    bl = ball(z_oracle, 1)
+    keys, edges = structures._pair_product(c, c, z_oracle, bl)
+    assert (keys, edges) == pair_product_bf(c, c, z_oracle, bl)
+    a = keys.index((0, 0, (1,)))
+    assert (a, (1, 1), a) in edges
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_extract_and_build_restore_the_gc_state(enabled, ab2, z_generators, z_conj_oracle, monkeypatch):
+    """extract_generators and build_combing run with the cyclic collector
+    paused and leave it as they found it: enabled or disabled by the
+    caller, also when they raise."""
+    seen = []
+    pair_product = structures._pair_product
+
+    def watched(*args):
+        seen.append(gc.isenabled())
+        return pair_product(*args)
+
+    monkeypatch.setattr(structures, "_pair_product", watched)
+    o = AbelianOracle(ab2, 1, {"a": [1], "b": [0]})
+    c = Nfa(ab2, 3, [(0, 0, 1), (1, 0, 1), (0, 1, 2), (2, 1, 2)], 0, [0, 1, 2])
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        extract_generators(c, o, ft_bound=1)
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError, match="different alphabets"):
+            extract_generators(c, FreeOracle(AB1), ft_bound=1)
+        assert gc.isenabled() is enabled
+        build_combing(LinearLanguage(z_generators, "inverse"), z_conj_oracle, central=True)
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError, match="free on the images"):
+            build_combing(LinearLanguage(Transducer(ab2, 1, [], 0, []), "inverse"), o)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]
 
 
 def test_build_combing_z(z_generators, z_conj_oracle):

@@ -5,9 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from combings import Alphabet, Nfa, Transducer, Word
+from combings import linear as lin
 from combings import nfa as nfa_mod
 from combings import transducer as td
 from bruteforce import (
+    concat_sets,
+    coreachable_pairs_bf,
     lang_of_nfa,
     pairs_of_transducer,
     random_nfa,
@@ -332,3 +335,123 @@ def test_relabel(ab2):
     swapped = nfa_mod.relabel(t, lambda lab: (inv(lab[0]), inv(lab[1])))
     assert _accepts_pair(swapped, ab2.word("A"), ab2.word("a"))
     assert not _accepts_pair(swapped, ab2.word("a"), ab2.word("A"))
+
+
+def _semantics(a, max_total):
+    """The bounded language of an NFA, or the bounded relation of a
+    transducer, by brute force."""
+    if isinstance(a, Nfa):
+        return lang_of_nfa(a, max_total)
+    return pairs_of_transducer(a, max_total)
+
+
+def _concat_semantics(sa, sb, max_total):
+    """The concatenations of members of sa and sb within max_total: of
+    words for NFAs, tape by tape for pairs."""
+    if all(isinstance(w, Word) for w in sa | sb):
+        return concat_sets(sa, sb, max_total)
+    out = set()
+    for u1, v1 in sa:
+        for u2, v2 in sb:
+            if len(u1) + len(v1) + len(u2) + len(v2) <= max_total:
+                out.add((u1 + u2, v1 + v2))
+    return out
+
+
+def _with_initial(rnd, a):
+    """a with a random initial vertex: the random automata start at 0."""
+    return type(a)(a.alphabet, a.n, a.edges, rnd.randrange(a.n), a.terminals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hst.randoms(use_true_random=False),
+    hst.sampled_from([random_nfa, random_transducer]),
+    hst.integers(1, 4),
+)
+def test_union_all_against_semantics(rnd, make, k):
+    """union_all accepts exactly what some part accepts."""
+    parts = [_with_initial(rnd, make(rnd, AB2, max_states=4, eps_frac=0.3)) for _ in range(k)]
+    want = set().union(*(_semantics(p, 4) for p in parts))
+    assert _semantics(nfa_mod.union_all(parts), 4) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.randoms(use_true_random=False), hst.sampled_from([random_nfa, random_transducer]))
+def test_concat_against_semantics(rnd, make):
+    """concat accepts exactly the concatenations of a member of a with a
+    member of b."""
+    a = _with_initial(rnd, make(rnd, AB2, max_states=4, eps_frac=0.3))
+    b = _with_initial(rnd, make(rnd, AB2, max_states=4, eps_frac=0.3))
+    want = _concat_semantics(_semantics(a, 4), _semantics(b, 4), 4)
+    assert _semantics(nfa_mod.concat(a, b), 4) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.randoms(use_true_random=False), hst.sampled_from([random_nfa, random_transducer]))
+def test_relabel_against_semantics(rnd, make):
+    """relabel with a letter map f, not necessarily injective, accepts
+    exactly the images of the members under f, letter by letter and, on a
+    transducer, tape by tape; ε stays ε."""
+    a = make(rnd, AB2, max_states=4, eps_frac=0.3)
+    f = [rnd.randrange(len(AB2)) for _ in range(len(AB2))]
+
+    def image(w):
+        return Word(AB2, [f[x] for x in w.indices])
+
+    if isinstance(a, Nfa):
+        got = nfa_mod.relabel(a, lambda x: f[x])
+        want = {image(w) for w in _semantics(a, 4)}
+    else:
+        got = nfa_mod.relabel(a, lambda lab: tuple(None if x is None else f[x] for x in lab))
+        want = {(image(u), image(v)) for u, v in _semantics(a, 4)}
+    assert type(got) is type(a)
+    assert _semantics(got, 4) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hst.randoms(use_true_random=False),
+    hst.sampled_from(lin.MODES),
+    hst.sampled_from([0, 1]),
+)
+def test_coreachable_masks_against_backward_search(rnd, mode, side):
+    """_coreachable_masks sets bit q of mask p exactly for the pairs (p, q)
+    of the full product, reachable or not, that reach a target, as a
+    backward search over the product's moves finds them; r carries ε edges
+    as intersect_regular's r' does, and so does t on either tape.
+    _explore_side on those masks explores the full product cut to those
+    pairs plus the initial one, numbering and edge order included."""
+    t = random_transducer(rnd, AB2, max_states=5, eps_frac=0.3)
+    r = random_nfa(rnd, AB2, max_states=4, eps_frac=0.3)
+    r = nfa_mod.inverse_lang(r) if mode == "inverse" else nfa_mod.reverse(r)
+    targets = [(rnd.randrange(t.n), rnd.randrange(r.n)) for _ in range(rnd.randint(0, 3))]
+    masks = td._coreachable_masks(t, r, side, targets)
+    live = coreachable_pairs_bf(t, r, side, targets)
+    assert len(masks) == t.n
+    assert {(p, q) for p in range(t.n) for q in range(r.n) if masks[p] >> q & 1} == live
+    assert all(0 <= m < 1 << r.n for m in masks)
+
+    keys, edges = td._explore_side(t, r, side, masks)
+    full_keys, full_edges = td._explore_side(t, r, side)
+    at = {key: i for i, key in enumerate(k for k in full_keys if k in live or k == full_keys[0])}
+    assert keys == list(at)
+    cut = [
+        (at[full_keys[s]], lab, at[full_keys[d]])
+        for s, lab, d in full_edges
+        if full_keys[s] in at and full_keys[d] in at
+    ]
+    assert edges == cut
+
+
+def test_explore_side_keeps_edges_into_an_initial_pair_without_targets(ab2):
+    """The initial pair is explored even when it reaches no target, and so
+    are its edges back into itself; a pair that reaches a target but is not
+    reachable sets its bit and changes nothing."""
+    t = Transducer(ab2, 2, [(0, (0, 1), 0), (1, (1, None), 0)], 0, [1])
+    r = Nfa(ab2, 1, [(0, 0, 0), (0, 1, 0)], 0, [0])
+    for side in (0, 1):
+        masks = td._coreachable_masks(t, r, side, [(1, 0)])
+        assert masks == [0, 1]
+        assert td._explore_side(t, r, side, masks) == ([(0, 0)], [(0, (0, 1), 0)])
+        assert td._explore_side(t, r, side, [0, 0]) == ([(0, 0)], [(0, (0, 1), 0)])
