@@ -63,9 +63,27 @@ def _nonnegative(text: str) -> int:
 
 # ------------------------------------------------------------------ verbs
 
+# the number of input files of each aut operation
+AUT_INPUTS = {
+    "union": 2,
+    "concat": 2,
+    "reverse": 1,
+    "split": 1,
+    "trim": 1,
+    "equiv": 2,
+    "project": 1,
+    "intersect-rect": 3,
+    "identity": 1,
+    "sync-bound": 1,
+}
+
 
 def _run_aut(args) -> int:
     op = args.op
+    want = AUT_INPUTS[op]
+    if len(args.inputs) != want:
+        files = "file" if want == 1 else "files"
+        raise UsageError(f"aut {op} takes {want} input {files}, not {len(args.inputs)}")
     if op in ("union", "concat"):
         a = parse_file(args.inputs[0])
         b = parse_file(args.inputs[1])
@@ -236,21 +254,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="verb", required=True)
 
     aut = sub.add_parser("aut", help="automaton and transducer operations")
-    aut.add_argument(
-        "op",
-        choices=[
-            "union",
-            "concat",
-            "reverse",
-            "split",
-            "trim",
-            "equiv",
-            "project",
-            "intersect-rect",
-            "identity",
-            "sync-bound",
-        ],
-    )
+    aut.add_argument("op", choices=list(AUT_INPUTS))
     aut.add_argument("inputs", nargs="+")
     aut.add_argument("--out")
     aut.add_argument("--coordinate", choices=["first", "second"], default="first")

@@ -13,12 +13,15 @@ A product that is only ever trimmed is not built as an automaton at all:
 _trim_union trims its explored keys and edges to each terminal set and
 unites the pieces in one pass, so only what survives is validated and
 stored.  Automata are immutable once built, so they are safe to share;
-every operation returns a new automaton.
+every operation returns a new automaton.  An Nfa caches one successor row
+per letter, and one for ε, on first use, so that step and eps_closure move
+whole subsets with set operations instead of a Python loop per edge.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from typing import Collection, Hashable, Iterable, Optional, TypeVar
 
 from .words import Alphabet, Word
@@ -81,8 +84,26 @@ class Automaton:
 
 
 class Nfa(Automaton):
-    __slots__ = ()
+    __slots__ = ("_rows",)
     EPS = None
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._rows = None
+
+    def rows(self) -> list[list[tuple[int, ...]]]:
+        """rows[x][p]: the targets of p's x-edges, for every letter x, and
+        rows[-1][p] those of its ε edges.  Built on first use."""
+        if self._rows is None:
+            k = len(self.alphabet)
+            targets: dict[tuple[int, int], list[int]] = {}
+            for s, x, d in self.edges:
+                targets.setdefault((k if x is None else x, s), []).append(d)
+            rows: list[list[tuple[int, ...]]] = [[()] * self.n for _ in range(k + 1)]
+            for (x, s), ds in targets.items():
+                rows[x][s] = tuple(ds)
+            self._rows = rows
+        return self._rows
 
     @staticmethod
     def check_label(x: Optional[int], k: int) -> None:
@@ -95,22 +116,21 @@ class Nfa(Automaton):
 
 
 def eps_closure(a: Nfa, states: Iterable[int]) -> frozenset[int]:
+    """The states reached from states by ε edges, one breadth level at a
+    time: each level is the ε targets of the last one that are new."""
+    eps = a.rows()[-1]
     seen = set(states)
-    stack = list(seen)
-    adj = a.adjacency()
-    while stack:
-        p = stack.pop()
-        for x, q in adj[p]:
-            if x is None and q not in seen:
-                seen.add(q)
-                stack.append(q)
+    frontier = seen
+    while frontier:
+        frontier = set(chain.from_iterable(map(eps.__getitem__, frontier)))
+        frontier -= seen
+        seen |= frontier
     return frozenset(seen)
 
 
-def step(a: Nfa, states: frozenset[int], letter: int) -> frozenset[int]:
-    adj = a.adjacency()
-    nxt = {q for p in states for x, q in adj[p] if x == letter}
-    return eps_closure(a, nxt)
+def step(a: Nfa, states: Iterable[int], letter: int) -> frozenset[int]:
+    row = a.rows()[letter]
+    return eps_closure(a, chain.from_iterable(map(row.__getitem__, states)))
 
 
 def accepts(a: Nfa, w: Word) -> bool:

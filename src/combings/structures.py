@@ -14,6 +14,8 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Optional
 
 from . import nfa as nfa_mod
@@ -623,6 +625,10 @@ class BuildReport:
     c0_contained: bool
     cprime_states: int
     cprime_ft_sync: Optional[int] = None
+    # the shared subset product's vertices and the total size of their
+    # subsets, 0 when no candidate needs it; not printed
+    subset_vertices: int = 0
+    subset_elements: int = 0
     warnings: list[str] = field(default_factory=list)
 
     def __str__(self) -> str:
@@ -690,25 +696,24 @@ def _check_upto(t: Transducer, core_e, pairs, marks: dict) -> tuple[bool, str]:
 def _shared_difference(c0: Nfa, statelist, prod_edges):
     """DFA(C0) times the subset construction of the first tape of the pair
     product, given by its states and edges, shared by every suffix
-    candidate x.  Returns (n, edges, bit, masks): bit gives a bit of its own
-    to each class h of a pair-product state (p, q, h) with p and q terminal
-    in C0, and masks maps each vertex where C0 accepts to the bits of such
-    classes in its subset.  C0 minus N_x is this automaton accepting where
-    the mask misses the bits of x's dset."""
+    candidate x.  Returns (n, edges, bit, masks, elements): bit gives a bit
+    of its own to each class h of a pair-product state (p, q, h) with p and
+    q terminal in C0, masks maps each vertex where C0 accepts to the bits
+    of such classes in its subset, and elements is the total size of the n
+    subsets.  C0 minus N_x is this automaton accepting where the mask
+    misses the bits of x's dset."""
     proj = Nfa(c0.alphabet, len(statelist), [(s, lab[0], d) for s, lab, d in prod_edges], 0, [])
     edges, c0_accepts, subsets = nfa_mod._subset_product(c0, proj)
     ends = c0.terminals
-    end_h = {j: h for j, (p, q, h) in enumerate(statelist) if p in ends and q in ends}
-    bit = {h: 1 << i for i, h in enumerate(set(end_h.values()))}
-    end_bit = {j: bit[h] for j, h in end_h.items()}
-    masks = {}
-    for i, (acc, sub) in enumerate(zip(c0_accepts, subsets)):
-        if acc:
-            m = 0
-            for j in sub:
-                m |= end_bit.get(j, 0)
-            masks[i] = m
-    return len(subsets), edges, bit, masks
+    end_hs = {h for p, q, h in statelist if p in ends and q in ends}
+    bit = {h: 1 << i for i, h in enumerate(end_hs)}
+    end_bit = [bit[h] if p in ends and q in ends else 0 for p, q, h in statelist]
+    masks = {
+        i: reduce(or_, map(end_bit.__getitem__, sub), 0)
+        for i, (acc, sub) in enumerate(zip(c0_accepts, subsets))
+        if acc
+    }
+    return len(subsets), edges, bit, masks, sum(map(len, subsets))
 
 
 @_cyclic_gc_paused()
@@ -853,10 +858,11 @@ def build_combing(
         if dset:
             if shared is None:
                 shared = _shared_difference(c0, statelist, prod_edges)
-            n, edges, bit, masks = shared
+            n, edges, bit, masks, _elements = shared
             dmask = sum(bit.get(h, 0) for h in dset)
             terms = [j for j, m in masks.items() if not m & dmask]
-            cx = nfa_mod.trim(Nfa(alphabet, n, edges, 0, terms))
+            # every vertex of the shared product is reachable
+            cx = nfa_mod._trim_union(Nfa, alphabet, n, edges, 0, [terms], explored=True)
         else:
             cx = c0  # minimal, so trimmed
         if cx.terminals:
@@ -889,6 +895,8 @@ def build_combing(
         balanced_cycles=balanced,
         c0_contained=c0_contained,
         cprime_states=cprime.n,
+        subset_vertices=shared[0] if shared else 0,
+        subset_elements=shared[4] if shared else 0,
         warnings=warnings,
     )
     if central:

@@ -400,6 +400,41 @@ def pair_product_bf(c1, c2, o, bl):
     return keys, edges
 
 
+def shared_masks_by_elements(c0, statelist, prod_edges):
+    """structures._shared_difference by its definition, with each mask as
+    the set of its classes: the breadth-first product of DFA(C0), as
+    _eager_dfa numbers it, with the subsets of the pair product's first
+    tape, each step closed by _closure over _nfa_tables; a vertex where C0
+    accepts collects, one element at a time, the class h of every (p, q, h)
+    in its subset with p and q terminal in C0.  Returns the vertex count,
+    the class sets and the total size of the subsets."""
+    proj = Nfa(c0.alphabet, len(statelist), [(s, lab[0], d) for s, lab, d in prod_edges], 0, [])
+    ta, fa = _eager_dfa(c0)
+    eps, step = _nfa_tables(proj)
+    start = (0, _closure(eps, {0}))
+    ids = {start: 0}
+    order = [start]
+    for pa, sub in order:
+        for x, qa in enumerate(ta[pa]):
+            if qa == -1:
+                continue
+            key = (qa, _closure(eps, {q for p in sub for q in step.get((p, x), ())}))
+            if key not in ids:
+                ids[key] = len(order)
+                order.append(key)
+    ends = c0.terminals
+    masks = {}
+    for i, (pa, sub) in enumerate(order):
+        if fa[pa]:
+            m = set()
+            for j in sub:
+                p, q, h = statelist[j]
+                if p in ends and q in ends:
+                    m.add(h)
+            masks[i] = m
+    return len(order), masks, sum(len(sub) for _pa, sub in order)
+
+
 def _staircases(m, n):
     """Every monotone path of grid cells from (0, 0) to (m, n) with steps
     right, down or diagonal."""

@@ -131,6 +131,20 @@ def test_aut_sync_bound(tmp_path, capsys):
     assert "bound 2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("op", list(cli.AUT_INPUTS))
+def test_aut_wrong_input_count_is_usage_error(capsys, astar_file, op):
+    """Each aut operation takes a fixed number of files; one more, or one
+    fewer, is a usage error that names the count it expects."""
+    want = cli.AUT_INPUTS[op]
+    for count in (want - 1, want + 1):
+        if count == 0:
+            continue  # argparse itself refuses an empty file list
+        assert main(["aut", op] + [astar_file] * count) == 2
+        err = capsys.readouterr().err
+        assert f"aut {op} takes {want} input file" in err
+        assert f"not {count}" in err
+
+
 def test_enum_nfa(capsys, full_star_file):
     assert main(["enum", full_star_file, "--maxlen", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()

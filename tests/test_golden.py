@@ -18,7 +18,8 @@ from combings import structures as st
 from combings import transducer as td
 from combings.linear import LinearLanguage
 from combings.oracle import AbelianOracle, FiniteOracle
-from test_structures import REF
+from bruteforce import shared_masks_by_elements
+from test_structures import REF, mask_classes
 
 Z_CPRIME = """\
 alphabet a A b B
@@ -123,6 +124,11 @@ def z3_extract():
     slex = Nfa(ab, 7, edges, 0, range(7))
     return st.extract_generators(slex, o, ft_bound=2), o
 
+
+# sha256 of fileformat.write of C' of the ℤ³ extract built centrally, and of
+# its BuildReport text
+Z3_CPRIME_SHA256 = "b91262bac20df4ed1eb7b65cbbfbb331d495f2b3e8a117b7ea2e54a39d35b46f"
+Z3_REPORT_SHA256 = "eef156aea97bd04128a64179dd881775665fd7a5d94bedad93af81097ca8cf84"
 
 # sha256 of fileformat.write of the S₃ extract and of its C'
 S3_EXTRACT_SHA256 = "e044b1b15c3eaede7f020d303f7a503b869e0804170993c17b719c8ee4329b76"
@@ -338,7 +344,38 @@ def test_golden_z2():
         report.product_states,
         report.cprime_states,
     ) == (503, 419, 5, 35, 2717, 6)
+    assert (report.subset_vertices, report.subset_elements) == (365, 114245)
     assert str(report) == Z2_REPORT
+
+
+def test_z2_shared_masks_match_the_per_element_loop(monkeypatch):
+    """The masks of the ℤ² build's shared subset product, against the
+    definition collected element by element."""
+    calls = []
+
+    def spy(c0, statelist, prod_edges):
+        shared = shared_difference(c0, statelist, prod_edges)
+        calls.append((mask_classes(shared), shared_masks_by_elements(c0, statelist, prod_edges)))
+        return shared
+
+    shared_difference = st._shared_difference
+    monkeypatch.setattr(st, "_shared_difference", spy)
+    gens, o = z2_extract()
+    st.build_combing(gens, o, central=True)
+    assert len(calls) == 1
+    got, want = calls[0]
+    assert got == want
+    assert (got[0], got[2]) == (365, 114245)
+
+
+def test_golden_z3_build():
+    """The ℤ³ extract rebuilt centrally: the largest build the tests run,
+    with a shared subset product of 3303 subsets of 2625 states each."""
+    gens, o = z3_extract()
+    cprime, report = st.build_combing(gens, o, central=True)
+    assert (report.subset_vertices, report.subset_elements) == (3303, 8670375)
+    assert _sha256(fileformat.write(cprime)) == Z3_CPRIME_SHA256
+    assert _sha256(str(report)) == Z3_REPORT_SHA256
 
 
 def test_golden_z2_extract():

@@ -1,9 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from combings import Nfa, Word, free_reduce, invert_word, shortlex_key
+from combings import Alphabet, Nfa, Word, free_reduce, invert_word, shortlex_key
 from combings import nfa as nfa_mod
 from bruteforce import (
+    _closure,
     _eager_dfa,
+    _nfa_tables,
     accepts_bf,
     bfs_order,
     concat_sets,
@@ -209,6 +213,38 @@ def test_dfa_matches_eager_subset_construction(rng, ab2):
     for _ in range(60):
         a = random_nfa(rng, ab2, max_states=6, eps_frac=0.3)
         assert nfa_mod._dfa(a) == _eager_dfa(a)
+
+
+AB2 = Alphabet.from_pairs([("a", "A"), ("b", "B")])
+
+
+@hst.composite
+def _eps_nfas(draw):
+    """An NFA over a A b B with up to six states, frequent ε edges, an ε
+    cycle through distinct states (a self-loop when it has one) and more
+    self-loops; the last letter, B, labels no edge."""
+    n = draw(hst.integers(1, 6))
+    state = hst.integers(0, n - 1)
+    label = hst.one_of(hst.none(), hst.integers(0, len(AB2) - 2))
+    edges = draw(hst.lists(hst.tuples(state, label, state), max_size=3 * n))
+    cycle = draw(hst.lists(state, min_size=1, max_size=n, unique=True))
+    edges += [(p, None, q) for p, q in zip(cycle, cycle[1:] + cycle[:1])]
+    edges += [(p, lab, p) for p, lab in draw(hst.lists(hst.tuples(state, label), max_size=3))]
+    return Nfa(AB2, n, edges, 0, [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.data())
+def test_step_and_closure_match_bruteforce(data):
+    """The level-by-level ε-closure and the letter rows give the sets of the
+    definition, also from no state at all and for a letter without edges."""
+    a = data.draw(_eps_nfas())
+    states = data.draw(hst.sets(hst.integers(0, a.n - 1)))
+    eps, step = _nfa_tables(a)
+    assert nfa_mod.eps_closure(a, states) == _closure(eps, states)
+    for x in range(len(AB2)):
+        want = _closure(eps, {q for p in states for q in step.get((p, x), ())})
+        assert nfa_mod.step(a, frozenset(states), x) == want
 
 
 def test_minimize(rng, ab2):

@@ -44,6 +44,7 @@ from bruteforce import (
     inversion_closure,
     pair_product_bf,
     random_transducer,
+    shared_masks_by_elements,
     tail_classes_by_paths,
 )
 
@@ -650,6 +651,28 @@ def test_pair_product_keeps_a_move_whose_middle_leaves_the_ball(ab1, z_oracle):
     assert (keys, edges) == pair_product_bf(c, c, z_oracle, bl)
     a = keys.index((0, 0, (1,)))
     assert (a, (1, 1), a) in edges
+
+
+def mask_classes(shared):
+    """_shared_difference's vertex count, each mask as the set of classes
+    whose bits it holds, and its subset-element count."""
+    n, _edges, bit, masks, elements = shared
+    return n, {i: {h for h, b in bit.items() if m & b} for i, m in masks.items()}, elements
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.data())
+def test_shared_masks_match_the_per_element_loop(data):
+    """The shared subset product's masks, each one OR over its subset, hold
+    the classes that the definition collects element by element, at the
+    same vertex ids; the vertex and subset-element counts agree too.  C0 is
+    minimal, as in build_combing, and need not accept everywhere."""
+    ab = data.draw(hst.sampled_from([AB1, AB2]))
+    o = data.draw(_oracles(ab))
+    c0 = nfa_mod.minimize(data.draw(_nfas(ab)))
+    statelist, prod_edges = structures._pair_product(c0, c0, o, ball(o, data.draw(hst.integers(0, 3))))
+    got = mask_classes(structures._shared_difference(c0, statelist, prod_edges))
+    assert got == shared_masks_by_elements(c0, statelist, prod_edges)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
