@@ -352,13 +352,13 @@ def test_z2_shared_masks_match_the_per_element_loop(monkeypatch):
     """The masks of the ℤ² build's shared subset product, against the
     definition collected element by element."""
     calls = []
+    shared_difference = st._shared_difference
 
     def spy(c0, statelist, prod_edges):
         shared = shared_difference(c0, statelist, prod_edges)
         calls.append((mask_classes(shared), shared_masks_by_elements(c0, statelist, prod_edges)))
         return shared
 
-    shared_difference = st._shared_difference
     monkeypatch.setattr(st, "_shared_difference", spy)
     gens, o = z2_extract()
     st.build_combing(gens, o, central=True)
