@@ -9,8 +9,8 @@ dictionaries in the searches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Hashable, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Hashable, Optional, Sequence
 
 from .words import Alphabet, Word
 
@@ -46,9 +46,39 @@ class GroupOracle:
         raise NotImplementedError
 
     def distance_from_identity(self, e: Hashable) -> Optional[int]:
-        """The word-metric distance of e from the identity; None means e lies
-        outside the image, or past the ball cap where a ball is searched."""
-        raise NotImplementedError
+        """The word-metric distance of e from the identity, read off a cached
+        breadth-first ball grown a level at a time until it holds e.  None
+        means the ball stopped growing without e, so e lies outside the
+        image, or it holds more than DEFAULT_BALL_CAP elements."""
+        bl = self._ball
+        while e not in bl.dist and len(bl) <= DEFAULT_BALL_CAP and bl.grow():
+            pass
+        return bl.dist.get(e)
+
+    @cached_property
+    def _ball(self) -> CayleyBall:
+        return CayleyBall(self)
+
+    def _letter_values(self, given: dict, value: Callable, noun: str, relation: str) -> tuple:
+        """One value per letter: value(symbol, v) for each given symbol, in
+        the order given, then the inverse of its inverse letter's value for
+        a letter left out.  Raises ValueError for a letter still without a
+        value, or whose value is not the inverse of its inverse letter's."""
+        a = self.alphabet
+        vals: list = [None] * len(a)
+        for sym, v in given.items():
+            vals[a.index(sym)] = value(sym, v)  # value() runs before index()
+        for i in range(len(a)):
+            j = a.inv[i]
+            if vals[i] is None and vals[j] is not None:
+                vals[i] = self.inv_element(vals[j])
+        for i in range(len(a)):
+            if vals[i] is None:
+                raise ValueError(f"no {noun} given for letter {a.symbols[i]}")
+            j = a.inv[i]
+            if vals[i] != self.inv_element(vals[j]):
+                raise ValueError(f"{noun}s of {a.symbols[i]} and {a.symbols[j]} are not {relation}")
+        return tuple(vals)
 
     def element(self, w: Word) -> Hashable:
         if w.alphabet != self.alphabet:
@@ -106,34 +136,20 @@ class AbelianOracle(GroupOracle):
     def __init__(self, alphabet: Alphabet, rank: int, weights: dict[str, Sequence[int]]):
         self.alphabet = alphabet
         self.rank = rank
-        vecs: list[Optional[tuple[int, ...]]] = [None] * len(alphabet)
-        for sym, vec in weights.items():
+
+        def weight(sym, vec):
             v = tuple(int(c) for c in vec)
             if len(v) != rank:
                 raise ValueError(f"weight for {sym} has length {len(v)}, want {rank}")
-            vecs[alphabet.index(sym)] = v
-        for i in range(len(alphabet)):
-            j = alphabet.inv[i]
-            if vecs[i] is None and vecs[j] is not None:
-                vecs[i] = tuple(-c for c in vecs[j])
-        for i in range(len(alphabet)):
-            if vecs[i] is None:
-                raise ValueError(f"no weight given for letter {alphabet.symbols[i]}")
-            j = alphabet.inv[i]
-            if vecs[i] != tuple(-c for c in vecs[j]):
-                raise ValueError(
-                    f"weights of {alphabet.symbols[i]} and {alphabet.symbols[j]} "
-                    "are not negatives of each other"
-                )
-        self.weights: tuple[tuple[int, ...], ...] = tuple(vecs)  # type: ignore[arg-type]
+            return v
+
+        self.weights = self._letter_values(weights, weight, "weight", "negatives of each other")
         # With every weight zero or a signed unit vector ±e_i, the word
         # metric is the L1 norm, and the axes no weight reaches lie outside
         # the image.
         self._l1 = all(sum(map(abs, v)) <= 1 for v in self.weights)
         self._off_axes = tuple(i for i in range(rank) if not any(v[i] for v in self.weights))
         self._dist: dict[tuple[int, ...], Optional[int]] = {}
-        self._dist_radius = -1
-        self._frontier: list[tuple[int, ...]] = []  # the ball's last level
 
     def identity_element(self):
         return (0,) * self.rank
@@ -154,41 +170,22 @@ class AbelianOracle(GroupOracle):
         return tuple(a + b for a, b in zip(e, f))
 
     def distance_from_identity(self, e) -> Optional[int]:
-        """The word-metric distance.  Unless the L1 norm applies, it is read
-        off a cached breadth-first ball, None once that ball outgrows
-        DEFAULT_BALL_CAP elements without e; each level adds an element, as a
-        weight of L1 norm >= 2 generates an infinite image."""
-        if self._l1:
-            # _dist memoizes the queries here; None marks an element outside
-            # the image
-            if e not in self._dist:
-                self._dist[e] = None if any(e[i] for i in self._off_axes) else sum(map(abs, e))
-        else:
-            while e not in self._dist and len(self._dist) <= DEFAULT_BALL_CAP:
-                self._grow_dist_ball()
+        """The L1 norm where it is the word metric; otherwise the ball
+        search of GroupOracle, whose ball adds an element at every level, as
+        a weight of L1 norm >= 2 generates an infinite image."""
+        if not self._l1:
+            return GroupOracle.distance_from_identity(self, e)
+        # _dist memoizes the queries here; None marks an element outside
+        # the image
+        if e not in self._dist:
+            self._dist[e] = None if any(e[i] for i in self._off_axes) else sum(map(abs, e))
         return self._dist.get(e)
-
-    def _grow_dist_ball(self):
-        r = self._dist_radius
-        if r < 0:
-            self._frontier = [self.identity_element()]
-            self._dist = {self._frontier[0]: 0}
-            self._dist_radius = 0
-            return
-        nxt = []
-        for e in self._frontier:
-            for letter in range(len(self.alphabet)):
-                f = self.mul_right(e, letter)
-                if f not in self._dist:
-                    self._dist[f] = r + 1
-                    nxt.append(f)
-        self._frontier = nxt
-        self._dist_radius = r + 1
 
 
 class FiniteOracle(GroupOracle):
     """A finite group by its full multiplication table; element 0 is the
-    identity.  table[g][h] = g*h."""
+    identity.  table[g][h] = g*h.  Distances are read off the whole ball,
+    built here for the associativity test."""
 
     def __init__(self, alphabet: Alphabet, table: Sequence[Sequence[int]], letter_images: dict[str, int]):
         self.alphabet = alphabet
@@ -210,26 +207,15 @@ class FiniteOracle(GroupOracle):
                 raise ValueError(f"element {g} has no two-sided inverse in the table")
             inverse.append(two_sided[0])
         self.inverse = tuple(inverse)
-        imgs: list[Optional[int]] = [None] * len(alphabet)
-        for sym, g in letter_images.items():
+
+        def image(sym, g):
             if not 0 <= g < n:
                 raise ValueError(f"letter {sym} maps to {g}, out of range")
-            imgs[alphabet.index(sym)] = g
-        for i in range(len(alphabet)):
-            j = alphabet.inv[i]
-            if imgs[i] is None and imgs[j] is not None:
-                imgs[i] = self.inverse[imgs[j]]
-        for i in range(len(alphabet)):
-            if imgs[i] is None:
-                raise ValueError(f"no image given for letter {alphabet.symbols[i]}")
-            j = alphabet.inv[i]
-            if imgs[i] != self.inverse[imgs[j]]:
-                raise ValueError(
-                    f"images of {alphabet.symbols[i]} and {alphabet.symbols[j]} "
-                    "are not mutually inverse"
-                )
-        self.letter_images: tuple[int, ...] = tuple(imgs)  # type: ignore[arg-type]
-        self._dist = dist = ball(self, n).dist
+            return g
+
+        self.letter_images = self._letter_values(letter_images, image, "image", "mutually inverse")
+        self._ball = ball(self, n)
+        dist = self._ball.dist
         # Light's associativity test: the elements g with (a·g)·b = a·(g·b)
         # for all a, b are closed under products, so checking the letter
         # images and the elements they do not reach covers the whole table.
@@ -261,19 +247,20 @@ class FiniteOracle(GroupOracle):
     def mul(self, e, f):
         return self.table[e][f]
 
-    def distance_from_identity(self, e) -> Optional[int]:
-        return self._dist.get(e)
 
-
-@dataclass
 class CayleyBall:
-    """The radius-k ball around the identity: distances and shortlex-least
-    representative words, both keyed in discovery (shortlex) order."""
+    """The ball around the identity, grown a level at a time: distances and
+    shortlex-least representative words, both keyed in discovery (shortlex)
+    order."""
 
-    oracle: GroupOracle
-    radius: int
-    dist: dict = field(repr=False)
-    rep: dict = field(repr=False)
+    def __init__(self, oracle: GroupOracle):
+        self.oracle = oracle
+        self.radius = 0
+        e0 = oracle.identity_element()
+        empty = oracle.alphabet.empty_word()
+        self.dist = {e0: 0}
+        self.rep = {e0: empty}
+        self._last = [(e0, empty)]  # the outermost level, in discovery order
 
     def __contains__(self, e) -> bool:
         return e in self.dist
@@ -281,36 +268,42 @@ class CayleyBall:
     def __len__(self) -> int:
         return len(self.dist)
 
-
-def ball(o: GroupOracle, k: int) -> CayleyBall:
-    """Breadth-first ball of radius k.  Processing the queue in shortlex
-    order of the discovery words makes each representative shortlex-least.
-    Raises CapExceeded past DEFAULT_BALL_CAP elements."""
-    if k < 0:
-        raise ValueError("radius must be nonnegative")
-    e0 = o.identity_element()
-    empty = o.alphabet.empty_word()
-    dist = {e0: 0}
-    rep = {e0: empty}
-    frontier = [(e0, empty)]
-    nletters = len(o.alphabet)
-    for r in range(1, k + 1):
+    def grow(self) -> bool:
+        """Add the next level; False when it is empty, as the ball has
+        stopped growing.  Taking the outermost level in discovery order,
+        and the letters in order, makes each new representative
+        shortlex-least."""
+        o, dist, rep = self.oracle, self.dist, self.rep
+        r = self.radius = self.radius + 1
+        letters = range(len(o.alphabet))
         nxt = []
-        for e, w in frontier:
-            for letter in range(nletters):
+        for e, w in self._last:
+            for letter in letters:
                 f = o.mul_right(e, letter)
                 if f not in dist:
                     dist[f] = r
                     w2 = Word(o.alphabet, w.indices + (letter,))
                     rep[f] = w2
                     nxt.append((f, w2))
-                    if len(dist) > DEFAULT_BALL_CAP:
-                        raise CapExceeded(
-                            f"ball of radius {k} exceeded the cap of {DEFAULT_BALL_CAP} elements; "
-                            "use a smaller radius"
-                        )
-        frontier = nxt
-    return CayleyBall(o, k, dist, rep)
+        self._last = nxt
+        return bool(nxt)
+
+
+def ball(o: GroupOracle, k: int) -> CayleyBall:
+    """Breadth-first ball of radius k, k levels of CayleyBall.grow.  Raises
+    CapExceeded after a level that takes it past DEFAULT_BALL_CAP
+    elements."""
+    if k < 0:
+        raise ValueError("radius must be nonnegative")
+    bl = CayleyBall(o)
+    for _ in range(k):
+        bl.grow()
+        if len(bl) > DEFAULT_BALL_CAP:
+            raise CapExceeded(
+                f"ball of radius {k} exceeded the cap of {DEFAULT_BALL_CAP} elements; "
+                "use a smaller radius"
+            )
+    return bl
 
 
 def ft_distance(o: GroupOracle, mode: str, u: Word, v: Word, cap: int = 64) -> Optional[int]:

@@ -355,6 +355,7 @@ def synchronized_bound(t: Transducer) -> Optional[int]:
     members: dict[int, list[int]] = {}
     for v in range(t.n):
         members.setdefault(comp[v], []).append(v)
+    adj = t.adjacency()
     for c in sorted(members, reverse=True):
         vs = members[c]
         base_lo = min((lo[v] - phi[v] for v in vs if lo[v] is not None), default=None)
@@ -364,14 +365,13 @@ def synchronized_bound(t: Transducer) -> Optional[int]:
         for v in vs:
             lo[v] = base_lo + phi[v]
             hi[v] = base_hi + phi[v]
-        for s, lab, d in t.edges:
-            if comp[s] != c or comp[d] == c:
-                continue
-            w = _weight(lab)
-            if lo[d] is None or lo[s] + w < lo[d]:
-                lo[d] = lo[s] + w
-            if hi[d] is None or hi[s] + w > hi[d]:
-                hi[d] = hi[s] + w
+        for s in vs:
+            for lab, d in adj[s]:
+                if comp[d] == c:
+                    continue
+                w = _weight(lab)
+                lo[d] = lo[s] + w if lo[d] is None else min(lo[d], lo[s] + w)
+                hi[d] = hi[s] + w if hi[d] is None else max(hi[d], hi[s] + w)
     best = 0
     for v in t.terminals:
         if lo[v] is None:

@@ -7,10 +7,24 @@ so agreement on bounded languages is meaningful evidence.
 """
 
 import functools
+import importlib.util
 from collections import deque
 from itertools import product
+from pathlib import Path
 
-from combings import LinearLanguage, Nfa, Transducer, Word, invert_linear, invert_word
+from hypothesis import strategies as hst
+
+from combings import (
+    AbelianOracle,
+    FiniteOracle,
+    FreeOracle,
+    LinearLanguage,
+    Nfa,
+    Transducer,
+    Word,
+    invert_linear,
+    invert_word,
+)
 from combings import nfa as nfa_mod
 from combings import structures
 from combings import transducer as td
@@ -52,6 +66,65 @@ def random_transducer(rng, alphabet, max_states=5, eps_frac=0.2):
         edges.append((rng.randrange(n), (x, y), rng.randrange(n)))
     terms = [q for q in range(n) if rng.random() < 0.5]
     return Transducer(alphabet, n, edges, 0, terms)
+
+
+def _reference_module():
+    """bench/reference.py, which builds the benchmark's finite tables."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+REF = _reference_module()
+
+
+@hst.composite
+def oracles(draw, ab):
+    """A free, abelian (L1 or not) or finite-table oracle over ab; the
+    second letter's image may be the identity or equal the first's."""
+    positive = ab.symbols[::2]
+    kind = draw(hst.sampled_from(["free", "l1", "weighted", "table"]))
+    if kind == "free":
+        return FreeOracle(ab)
+    if kind in ("l1", "weighted"):
+        rank = draw(hst.integers(1, 2))
+        if kind == "l1":
+            units = [(0,) * rank] + [
+                tuple(s * (k == i) for k in range(rank)) for i in range(rank) for s in (1, -1)
+            ]
+            vec = hst.sampled_from(units)
+        else:
+            vec = hst.tuples(*[hst.integers(-2, 2)] * rank)
+        weights = {sym: draw(vec) for sym in positive}
+        return AbelianOracle(ab, rank, weights)
+    degree = draw(hst.integers(2, 4))
+    gens = draw(hst.lists(hst.permutations(range(degree)).map(tuple), min_size=1, max_size=2))
+    table, _ = REF.perm_table(gens)
+    table, _ = REF.relabel(table, [], draw(hst.randoms(use_true_random=False)))
+    n = len(table)
+    first = draw(hst.integers(0, n - 1))
+    images = [first] + [
+        draw(hst.one_of(hst.just(first), hst.just(0), hst.integers(0, n - 1)))
+        for _ in positive[1:]
+    ]
+    return FiniteOracle(ab, table, dict(zip(positive, images)))
+
+
+def word_metric(o, radius):
+    """The word metric of o's Cayley graph within radius, by breadth-first
+    search over right multiplication by the letter images, with nothing
+    from the oracle but mul and letter_element: a dict from each element
+    within radius to its distance from the identity."""
+    gens = [o.letter_element(x) for x in range(len(o.alphabet))]
+    e0 = o.mul(gens[0], gens[o.alphabet.inv[0]])  # a letter times its inverse
+    dist = {e0: 0}
+    level = {e0}
+    for r in range(1, radius + 1):
+        level = {o.mul(e, g) for e in level for g in gens} - dist.keys()
+        dist.update(dict.fromkeys(level, r))
+    return dist
 
 
 def _closure(eps, states):

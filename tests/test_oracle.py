@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from combings import (
     AbelianOracle,
@@ -14,7 +16,10 @@ from combings import (
     shortlex_key,
 )
 from combings import oracle as orc
-from bruteforce import random_word, words_upto
+from bruteforce import oracles, random_word, word_metric, words_upto
+
+AB1 = Alphabet.from_pairs([("a", "A")])
+AB2 = Alphabet.from_pairs([("a", "A"), ("b", "B")])
 
 
 def test_free_oracle_elements(ab2, free2_oracle):
@@ -61,6 +66,53 @@ def test_abelian_oracle_validation(ab2):
         AbelianOracle(ab2, 2, {"a": [1, 0]})
     with pytest.raises(ValueError):
         AbelianOracle(ab2, 2, {"a": [1], "b": [0, 1]})
+
+
+def _message(make):
+    with pytest.raises(ValueError) as info:
+        make()
+    return str(info.value)
+
+
+def test_abelian_letter_value_errors(ab2):
+    """The texts the CLI prints for a bad weight, and which of two faults
+    is reported: the given weights are checked in the order given, each
+    one's length before its letter, then the letters in alphabet order,
+    each for a missing weight before its inverse's."""
+    cases = [
+        ({"a": [1], "b": [0, 1]}, "weight for a has length 1, want 2"),
+        ({"a": [1, 0], "z": [0, 1]}, "unknown letter 'z'"),
+        ({"a": [1, 0]}, "no weight given for letter b"),
+        ({"a": [1, 0], "A": [1, 0], "b": [0, 1]}, "weights of a and A are not negatives of each other"),
+        # two faults
+        ({"z": [1], "a": [1, 0]}, "weight for z has length 1, want 2"),
+        ({"z": [1, 0], "a": [1]}, "unknown letter 'z'"),
+        ({"a": [1], "z": [1, 0]}, "weight for a has length 1, want 2"),
+        ({"b": [0, 1], "B": [0, 1]}, "no weight given for letter a"),
+        ({"a": [1, 0], "A": [1, 0]}, "weights of a and A are not negatives of each other"),
+    ]
+    for weights, text in cases:
+        assert _message(lambda: AbelianOracle(ab2, 2, weights)) == text
+
+
+def test_finite_letter_value_errors(ab2):
+    """The same for the letter images of a finite table (ℤ/4 here): each
+    given image is range-checked before its letter."""
+    z4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    cases = [
+        ({"a": 5, "b": 2}, "letter a maps to 5, out of range"),
+        ({"a": 1, "z": 1}, "unknown letter 'z'"),
+        ({"a": 1}, "no image given for letter b"),
+        ({"a": 1, "A": 1, "b": 2}, "images of a and A are not mutually inverse"),
+        # two faults
+        ({"z": 9, "a": 1}, "letter z maps to 9, out of range"),
+        ({"z": 1, "a": 9}, "unknown letter 'z'"),
+        ({"a": -1, "z": 1}, "letter a maps to -1, out of range"),
+        ({"b": 2, "B": 1}, "no image given for letter a"),
+        ({"a": 1, "b": 2, "B": 1}, "images of b and B are not mutually inverse"),
+    ]
+    for images, text in cases:
+        assert _message(lambda: FiniteOracle(ab2, z4, images)) == text
 
 
 def test_finite_oracle_z3(ab1, z3_oracle):
@@ -192,19 +244,71 @@ class _CountingDict(dict):
 def test_abelian_ball_growth_reads_each_entry_a_bounded_number_of_times(ab2, monkeypatch):
     """The image of a -> (1, 1), b -> 0 is a line, so the non-L1 ball
     adds two elements per level; asking for (1, 0), outside the image,
-    grows it to the cap.  Each level reads only the last one, so the reads
-    stay linear in the ball's size (a rescan of the whole ball per level
-    would read about size² / 4 entries)."""
+    grows its cached ball to the cap.  Each level reads only the last one,
+    so the reads of the ball's distances stay linear in its size (a rescan
+    of the whole ball per level would read about size² / 4 entries)."""
     monkeypatch.setattr(orc, "DEFAULT_BALL_CAP", 400)
     o = AbelianOracle(ab2, 2, {"a": [1, 1], "b": [0, 0]})
     assert o.distance_from_identity((0, 0)) == 0
-    o._dist = _CountingDict(o._dist)
+    bl = o._ball
+    bl.dist = _CountingDict(bl.dist)
     assert o.distance_from_identity((1, 0)) is None
-    size = len(o._dist)
+    size = len(bl.dist)
     assert size > 400
-    assert o._dist.reads <= 2 * len(ab2) * size
+    assert bl.dist.reads <= 2 * len(ab2) * size
     assert o.distance_from_identity((-3, -3)) == 3
     assert o.distance_from_identity((200, 200)) == 200
+
+
+def _searches_a_ball(o):
+    """Whether o's distances come from growing its cached ball: a non-L1
+    abelian oracle.  A finite table's ball is whole from the start, and the
+    free and L1 oracles use closed forms."""
+    return isinstance(o, AbelianOracle) and any(sum(map(abs, v)) > 1 for v in o.weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.data())
+def test_distance_and_ball_match_the_brute_force_word_metric(data):
+    """distance_from_identity and ball() against word_metric on every
+    oracle kind, with the ball cap patched small.  A searched distance
+    finds an element at distance d exactly when every ball of radius below
+    d fits in the cap, and ball(o, k) raises CapExceeded exactly when the
+    radius-k ball does not fit."""
+    ab = data.draw(hst.sampled_from([AB1, AB2]))
+    o = data.draw(oracles(ab))  # a finite table builds its whole ball here
+    finite = isinstance(o, FiniteOracle)
+    radius = len(o.table) if finite else 4
+    bf = word_metric(o, radius)
+    sizes = [sum(d <= r for d in bf.values()) for r in range(radius + 1)]
+    if finite:
+        probes = list(range(len(o.table)))
+    elif isinstance(o, FreeOracle):
+        probes = [o.element(w) for w in words_upto(ab, 5)]
+    else:
+        vec = hst.tuples(*[hst.integers(-6, 6)] * o.rank)
+        probes = data.draw(hst.lists(vec, max_size=12)) + list(bf)
+    cap = data.draw(hst.integers(1, 150))
+    searched = _searches_a_ball(o)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orc, "DEFAULT_BALL_CAP", cap)
+        for e in probes:
+            got = o.distance_from_identity(e)
+            if e in bf:
+                d = bf[e]
+                assert got == (None if searched and d and sizes[d - 1] > cap else d)
+            elif finite or (searched and sizes[radius] > cap):
+                assert got is None
+            else:
+                assert got is None or got > radius
+        for k in range(radius + 1):
+            if sizes[k] > cap:
+                with pytest.raises(CapExceeded):
+                    ball(o, k)
+            else:
+                bl = ball(o, k)
+                assert bl.radius == k
+                assert bl.dist == {e: d for e, d in bf.items() if d <= k}
 
 
 def test_ball_reps_are_shortlex_least(ab2, z2_oracle):

@@ -1,8 +1,6 @@
 import gc
-import importlib.util
 import itertools
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -36,12 +34,14 @@ from combings import nfa as nfa_mod
 from combings import structures
 from combings import transducer as td
 from bruteforce import (
+    REF,
     closed_generators,
     core_by_reach,
     first_tape_core,
     ft_bound_all_pairs,
     ft_distance_by_staircases,
     inversion_closure,
+    oracles,
     pair_product_bf,
     random_transducer,
     shared_masks_by_elements,
@@ -208,49 +208,7 @@ def test_ft_bound_of_combing_rejects_bad_arguments(ab1, z_oracle):
         ft_bound_of_combing(c, z_oracle, "sync", -1)
 
 
-def _reference_module():
-    """bench/reference.py, which builds the benchmark's finite tables."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
-    spec = importlib.util.spec_from_file_location("bench_reference", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-REF = _reference_module()
 AB1 = Alphabet.from_pairs([("a", "A")])
-
-
-@hst.composite
-def _oracles(draw, ab):
-    """A free, abelian (L1 or not) or finite-table oracle over ab; the
-    second letter's image may be the identity or equal the first's."""
-    positive = ab.symbols[::2]
-    kind = draw(hst.sampled_from(["free", "l1", "weighted", "table"]))
-    if kind == "free":
-        return FreeOracle(ab)
-    if kind in ("l1", "weighted"):
-        rank = draw(hst.integers(1, 2))
-        if kind == "l1":
-            units = [(0,) * rank] + [
-                tuple(s * (k == i) for k in range(rank)) for i in range(rank) for s in (1, -1)
-            ]
-            vec = hst.sampled_from(units)
-        else:
-            vec = hst.tuples(*[hst.integers(-2, 2)] * rank)
-        weights = {sym: draw(vec) for sym in positive}
-        return AbelianOracle(ab, rank, weights)
-    degree = draw(hst.integers(2, 4))
-    gens = draw(hst.lists(hst.permutations(range(degree)).map(tuple), min_size=1, max_size=2))
-    table, _ = REF.perm_table(gens)
-    table, _ = REF.relabel(table, [], draw(hst.randoms(use_true_random=False)))
-    n = len(table)
-    first = draw(hst.integers(0, n - 1))
-    images = [first] + [
-        draw(hst.one_of(hst.just(first), hst.just(0), hst.integers(0, n - 1)))
-        for _ in positive[1:]
-    ]
-    return FiniteOracle(ab, table, dict(zip(positive, images)))
 
 
 @hst.composite
@@ -272,7 +230,7 @@ def test_ft_bound_of_combing_matches_all_pairs(data):
     every member pair for adjacency, so the bound is the same."""
     ab = data.draw(hst.sampled_from([AB1, AB2]))
     c = data.draw(_nfas(ab))
-    o = data.draw(_oracles(ab))
+    o = data.draw(oracles(ab))
     mode = data.draw(hst.sampled_from(["sync", "async"]))
     maxlen = data.draw(hst.integers(1, 5 if ab is AB1 else 3))
     assert ft_bound_of_combing(c, o, mode, maxlen) == ft_bound_all_pairs(c, o, mode, maxlen)
@@ -284,7 +242,7 @@ def test_ft_distance_matches_staircases(data):
     """The one-pass grid and the lockstep walk agree with the definition:
     the best of every monotone staircase, and the lockstep cells."""
     ab = data.draw(hst.sampled_from([AB1, AB2]))
-    o = data.draw(_oracles(ab))
+    o = data.draw(oracles(ab))
     words = hst.lists(hst.integers(0, len(ab) - 1), max_size=5).map(lambda xs: Word(ab, xs))
     u, v = data.draw(words), data.draw(words)
     mode = data.draw(hst.sampled_from(["sync", "async"]))
@@ -423,7 +381,7 @@ def test_tail_classes_match_every_off_core_path(data):
     half, trimmed or not."""
     ab = data.draw(hst.sampled_from([AB1, AB2]))
     t = data.draw(_transducers(ab))
-    o = data.draw(_oracles(ab))
+    o = data.draw(oracles(ab))
     core_v, core_e = core_subgraph(t)
     closure = inversion_closure(t)
     want = tail_classes_by_paths(closure, core_by_reach(closure)[0], o)
@@ -475,7 +433,7 @@ def test_build_stages_read_off_the_half_match_the_closure(data):
     terms = t.terminals | data.draw(hst.sets(state, max_size=1))
     t = Transducer(ab, t.n, t.edges | {(s, (None, None), d) for s, d in eps}, 0, terms)
     l = LinearLanguage(t, "inverse")
-    o = data.draw(_oracles(ab))
+    o = data.draw(oracles(ab))
     closed = closed_generators(l)
     if not closed.terminals:
         with pytest.raises(ValueError, match="generator language is empty"):
@@ -636,7 +594,7 @@ def test_pair_product_matches_oracle_products(data):
     order, of the walk that multiplies every move x^-1·h·y through the
     oracle: on free, L1 and non-L1 abelian and finite-table oracles."""
     ab = data.draw(hst.sampled_from([AB1, AB2]))
-    o = data.draw(_oracles(ab))
+    o = data.draw(oracles(ab))
     c1, c2 = (nfa_mod.remove_epsilon(data.draw(_nfas(ab))) for _ in range(2))
     bl = ball(o, data.draw(hst.integers(0, 3)))
     assert structures._pair_product(c1, c2, o, bl) == pair_product_bf(c1, c2, o, bl)
@@ -668,7 +626,7 @@ def test_shared_masks_match_the_per_element_loop(data):
     same vertex ids; the vertex and subset-element counts agree too.  C0 is
     minimal, as in build_combing, and need not accept everywhere."""
     ab = data.draw(hst.sampled_from([AB1, AB2]))
-    o = data.draw(_oracles(ab))
+    o = data.draw(oracles(ab))
     c0 = nfa_mod.minimize(data.draw(_nfas(ab)))
     statelist, prod_edges = structures._pair_product(c0, c0, o, ball(o, data.draw(hst.integers(0, 3))))
     got = mask_classes(structures._shared_difference(c0, statelist, prod_edges))

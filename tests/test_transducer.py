@@ -319,6 +319,53 @@ def test_synchronized_bound_is_a_bound(rng, ab2):
                 assert abs(len(u) - len(v)) <= k
 
 
+AB1 = Alphabet.from_pairs([("a", "A")])
+
+
+@hst.composite
+def _length_transducers(draw):
+    """A transducer over the letter a alone (the bound depends only on the
+    tape lengths) with up to four states and (ε,ε) edges only from a lower
+    to a higher state, so no (ε,ε) cycle.  A balanced one takes each edge's
+    imbalance from random state potentials, so every cycle is balanced; an
+    acyclic one has edges only from lower to higher states; any other has
+    any edges."""
+    n = draw(hst.integers(1, 4))
+    phi = draw(hst.lists(hst.integers(-1, 1), min_size=n, max_size=n))
+    kind = draw(hst.sampled_from(["balanced", "acyclic", "any"]))
+    by_weight = {0: [(0, 0), (None, None)], 1: [(0, None)], -1: [(None, 0)]}
+    edges = []
+    for _ in range(draw(hst.integers(n - 1, 2 * n + 2))):
+        s, d = draw(hst.integers(0, n - 1)), draw(hst.integers(0, n - 1))
+        if kind == "balanced":
+            labels = by_weight.get(phi[d] - phi[s], [])
+        else:
+            labels = [lab for labs in by_weight.values() for lab in labs]
+        if s >= d and kind == "acyclic":
+            labels = []
+        labels = [lab for lab in labels if lab != (None, None) or s < d]
+        if labels:
+            edges.append((s, draw(hst.sampled_from(labels)), d))
+    terms = draw(hst.lists(hst.integers(0, n - 1), min_size=1, max_size=n))
+    return Transducer(AB1, n, edges, 0, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_length_transducers())
+def test_synchronized_bound_matches_brute_force(t):
+    """The bound against the accepted pairs with |u| + |v| <= T.  With
+    every cycle balanced, removing cycles from an accepted path keeps its
+    imbalance, so the largest imbalance, at most n - 1, comes from a path
+    of at most n - 1 edges.  Otherwise an unbalanced simple cycle, taken
+    3n - 2 times between simple paths to and from it, reaches an imbalance
+    of at least n in at most 2(n - 1) + (3n - 2)·n edges of two letters
+    each, which is T."""
+    n = t.n
+    pairs = pairs_of_transducer(t, 2 * (2 * (n - 1) + (3 * n - 2) * n))
+    worst = max((abs(len(u) - len(v)) for u, v in pairs), default=0)
+    assert td.synchronized_bound(t) == (None if worst >= n else worst)
+
+
 def test_enumerate_pairs(rng, ab2):
     for _ in range(25):
         t = random_transducer(rng, ab2)
