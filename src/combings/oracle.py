@@ -51,8 +51,8 @@ class GroupOracle:
         means the ball stopped growing without e, so e lies outside the
         image, or it holds more than DEFAULT_BALL_CAP elements."""
         bl = self._ball
-        while e not in bl.dist and len(bl) <= DEFAULT_BALL_CAP and bl.grow():
-            pass
+        while e not in bl.dist and bl._last and len(bl) <= DEFAULT_BALL_CAP:
+            bl.grow()
         return bl.dist.get(e)
 
     @cached_property
@@ -175,8 +175,7 @@ class AbelianOracle(GroupOracle):
         a weight of L1 norm >= 2 generates an infinite image."""
         if not self._l1:
             return GroupOracle.distance_from_identity(self, e)
-        # _dist memoizes the queries here; None marks an element outside
-        # the image
+        # _dist memoizes the queries; None marks an element outside the image
         if e not in self._dist:
             self._dist[e] = None if any(e[i] for i in self._off_axes) else sum(map(abs, e))
         return self._dist.get(e)
@@ -215,12 +214,11 @@ class FiniteOracle(GroupOracle):
 
         self.letter_images = self._letter_values(letter_images, image, "image", "mutually inverse")
         self._ball = ball(self, n)
-        dist = self._ball.dist
         # Light's associativity test: the elements g with (a·g)·b = a·(g·b)
         # for all a, b are closed under products, so checking the letter
         # images and the elements they do not reach covers the whole table.
         t = self.table
-        for g in set(self.letter_images) | (set(range(n)) - set(dist)):
+        for g in set(self.letter_images) | (set(range(n)) - set(self._ball.dist)):
             col = [t[g][b] for b in range(n)]
             for a in range(n):
                 ta, tag = t[a], t[t[a][g]]
@@ -251,16 +249,17 @@ class FiniteOracle(GroupOracle):
 class CayleyBall:
     """The ball around the identity, grown a level at a time: distances and
     shortlex-least representative words, both keyed in discovery (shortlex)
-    order."""
+    order.  A level records only each new element's parent link; the
+    representatives are spelled out when rep is read."""
 
     def __init__(self, oracle: GroupOracle):
         self.oracle = oracle
         self.radius = 0
         e0 = oracle.identity_element()
-        empty = oracle.alphabet.empty_word()
         self.dist = {e0: 0}
-        self.rep = {e0: empty}
-        self._last = [(e0, empty)]  # the outermost level, in discovery order
+        self._via: list = []  # (element, its parent, letter) for each element not in _rep
+        self._rep = {e0: oracle.alphabet.empty_word()}
+        self._last = [e0]  # the outermost level in discovery order, empty once growth stops
 
     def __contains__(self, e) -> bool:
         return e in self.dist
@@ -268,31 +267,36 @@ class CayleyBall:
     def __len__(self) -> int:
         return len(self.dist)
 
-    def grow(self) -> bool:
-        """Add the next level; False when it is empty, as the ball has
-        stopped growing.  Taking the outermost level in discovery order,
-        and the letters in order, makes each new representative
-        shortlex-least."""
-        o, dist, rep = self.oracle, self.dist, self.rep
+    def grow(self) -> None:
+        """Add the next level; scanning the last one in discovery order, and
+        the letters in order, makes each parent link shortlex-least."""
+        o, dist, via = self.oracle, self.dist, self._via
         r = self.radius = self.radius + 1
         letters = range(len(o.alphabet))
         nxt = []
-        for e, w in self._last:
+        for e in self._last:
             for letter in letters:
                 f = o.mul_right(e, letter)
                 if f not in dist:
                     dist[f] = r
-                    w2 = Word(o.alphabet, w.indices + (letter,))
-                    rep[f] = w2
-                    nxt.append((f, w2))
+                    via.append((f, e, letter))
+                    nxt.append(f)
         self._last = nxt
-        return bool(nxt)
+
+    @property
+    def rep(self) -> dict:
+        """The shortlex-least representative word of each element, keyed in
+        discovery order; _via is in that order, so a parent is spelled first."""
+        rep, a = self._rep, self.oracle.alphabet
+        for f, e, letter in self._via:
+            rep[f] = Word(a, rep[e].indices + (letter,))
+        self._via.clear()
+        return rep
 
 
 def ball(o: GroupOracle, k: int) -> CayleyBall:
-    """Breadth-first ball of radius k, k levels of CayleyBall.grow.  Raises
-    CapExceeded after a level that takes it past DEFAULT_BALL_CAP
-    elements."""
+    """Breadth-first ball of radius k, k levels of CayleyBall.grow; raises
+    CapExceeded after a level that takes it past DEFAULT_BALL_CAP elements."""
     if k < 0:
         raise ValueError("radius must be nonnegative")
     bl = CayleyBall(o)

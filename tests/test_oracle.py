@@ -260,6 +260,32 @@ def test_abelian_ball_growth_reads_each_entry_a_bounded_number_of_times(ab2, mon
     assert o.distance_from_identity((200, 200)) == 200
 
 
+def test_distance_search_spells_no_words_until_rep_is_read(ab2, monkeypatch):
+    """A distance search to the cap records parent links only, so its cost
+    stays linear in the ball's size; the representatives are spelled out
+    when rep is read, and again after the ball grows further."""
+    made = []
+
+    class CountingWord(Word):
+        def __init__(self, *args):
+            made.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(orc, "DEFAULT_BALL_CAP", 400)
+    monkeypatch.setattr(orc, "Word", CountingWord)
+    o = AbelianOracle(ab2, 1, {"a": [2], "b": [0]})
+    assert o.distance_from_identity((1,)) is None
+    bl = o._ball
+    assert len(bl) > 400 and not made
+    for _ in range(2):
+        reps = bl.rep
+        assert len(reps) == len(bl) == len(made) + 1
+        for e, w in reps.items():
+            assert o.element(w) == e and len(w) == bl.dist[e]
+            assert w.indices == (0,) * len(w) or w.indices == (1,) * len(w)
+        bl.grow()
+
+
 def _searches_a_ball(o):
     """Whether o's distances come from growing its cached ball: a non-L1
     abelian oracle.  A finite table's ball is whole from the start, and the
