@@ -149,6 +149,8 @@ def _parse_oracle(cur: _Cursor, alphabet: Alphabet, kind_lineno: int, toks: list
         if len(toks) != 2 or toks[0] != "rank":
             raise FormatError(lineno or 1, "expected a rank line")
         rank = _int(lineno, toks[1], "rank")
+        if rank < 0:
+            raise FormatError(lineno, f"rank {rank} is negative")
         weights = {}
         while not cur.done():
             lineno, toks = cur.take()

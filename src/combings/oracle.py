@@ -22,7 +22,9 @@ class CapExceeded(RuntimeError):
 
 
 class GroupOracle:
-    """Common interface; concrete behavior lives in the subclasses."""
+    """Common interface.  A subclass defines four operations,
+    identity_element, letter_element, inv_element and mul; the letter
+    products and the default distance and ball searches derive from them."""
 
     alphabet: Alphabet
 
@@ -32,18 +34,20 @@ class GroupOracle:
     def letter_element(self, letter: int) -> Hashable:
         raise NotImplementedError
 
-    def mul_right(self, e: Hashable, letter: int) -> Hashable:
-        raise NotImplementedError
-
-    def mul_left(self, letter: int, e: Hashable) -> Hashable:
-        raise NotImplementedError
-
     def inv_element(self, e: Hashable) -> Hashable:
         raise NotImplementedError
 
     def mul(self, e: Hashable, f: Hashable) -> Hashable:
         """The product e·f of two elements."""
         raise NotImplementedError
+
+    def mul_right(self, e: Hashable, letter: int) -> Hashable:
+        """The product e·a of an element and a letter's image."""
+        return self.mul(e, self.letter_element(letter))
+
+    def mul_left(self, letter: int, e: Hashable) -> Hashable:
+        """The product a·e of a letter's image and an element."""
+        return self.mul(self.letter_element(letter), e)
 
     def distance_from_identity(self, e: Hashable) -> Optional[int]:
         """The word-metric distance of e from the identity, read off a cached
@@ -101,16 +105,6 @@ class FreeOracle(GroupOracle):
     def letter_element(self, letter: int):
         return (letter,)
 
-    def mul_right(self, e, letter: int):
-        if e and e[-1] == self.alphabet.inv[letter]:
-            return e[:-1]
-        return e + (letter,)
-
-    def mul_left(self, letter: int, e):
-        if e and e[0] == self.alphabet.inv[letter]:
-            return e[1:]
-        return (letter,) + e
-
     def inv_element(self, e):
         inv = self.alphabet.inv
         return tuple(inv[i] for i in reversed(e))
@@ -134,6 +128,8 @@ class AbelianOracle(GroupOracle):
     vectors, with weight(x^-1) = -weight(x)."""
 
     def __init__(self, alphabet: Alphabet, rank: int, weights: dict[str, Sequence[int]]):
+        if rank < 0:
+            raise ValueError(f"rank {rank} is negative")
         self.alphabet = alphabet
         self.rank = rank
 
@@ -156,12 +152,6 @@ class AbelianOracle(GroupOracle):
 
     def letter_element(self, letter: int):
         return self.weights[letter]
-
-    def mul_right(self, e, letter: int):
-        w = self.weights[letter]
-        return tuple(a + b for a, b in zip(e, w))
-
-    mul_left = lambda self, letter, e: self.mul_right(e, letter)  # abelian
 
     def inv_element(self, e):
         return tuple(-c for c in e)
@@ -232,12 +222,6 @@ class FiniteOracle(GroupOracle):
 
     def letter_element(self, letter: int):
         return self.letter_images[letter]
-
-    def mul_right(self, e, letter: int):
-        return self.table[e][self.letter_images[letter]]
-
-    def mul_left(self, letter: int, e):
-        return self.table[self.letter_images[letter]][e]
 
     def inv_element(self, e):
         return self.inverse[e]

@@ -8,6 +8,7 @@ import json
 from pathlib import Path
 
 import combings.cli  # the tracer wraps cli as well as the modules the package imports
+from combings import oracle as orc
 from combings import transducer as td
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,3 +35,21 @@ def test_tracer_produces_every_declared_layer_metric():
     assert td.trim is trim
     missing = [m["name"] for m in declared if m["name"] not in produced | RUN_METRICS]
     assert missing == []
+
+
+def test_tracer_counts_the_letter_products_of_a_ball(z2_oracle):
+    """The letter products are GroupOracle methods that every oracle
+    inherits; the tracer still counts each one.  The radius-2 ball of ℤ²
+    multiplies its identity and its four radius-1 elements by each of the
+    four letters: 20 products."""
+    classes = [c for c in vars(orc).values() if isinstance(c, type) and issubclass(c, orc.GroupOracle)]
+    before = {c: dict(vars(c)) for c in classes}
+    tracer = _bench_layers().Tracer()
+    tracer.install()
+    try:
+        orc.ball(z2_oracle, 2)
+        counts = tracer.summary()
+    finally:
+        tracer.uninstall()
+    assert counts["oracle.mul.calls"] == 20
+    assert {c: dict(vars(c)) for c in classes} == before

@@ -303,6 +303,16 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_negative_rank_is_a_format_error(tmp_path, capsys, full_star_file):
+    bad = tmp_path / "neg.oracle"
+    bad.write_text("alphabet a A\ninverse a A\noracle abelian\nrank -1\nweight\n")
+    code = main(["check-combing", full_star_file, "--oracle", str(bad), "--radius", "2", "--maxlen", "2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 4: rank -1 is negative\n"
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["enum", str(tmp_path / "nope.nfa"), "--maxlen", "2"]) == 2
 

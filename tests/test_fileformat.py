@@ -166,6 +166,15 @@ def test_error_on_bad_oracle_bodies():
         ff.parse(base + "oracle sporadic\n")
 
 
+@pytest.mark.parametrize("body", ["rank -1\nweight\n", "rank -2\nweight a 1\n", "rank -1\n"])
+def test_negative_rank_refused_at_the_rank_line(body):
+    base = "alphabet a A\ninverse a A\noracle abelian\n"
+    with pytest.raises(ff.FormatError) as err:
+        ff.parse(base + body)
+    assert err.value.lineno == 4
+    assert "is negative" in str(err.value)
+
+
 def test_trailing_garbage_rejected(ab2):
     text = ff.write(_sigma_star(ab2)) + "edge 0 a 0\nbogus line\n"
     with pytest.raises(ff.FormatError):

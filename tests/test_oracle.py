@@ -8,8 +8,11 @@ from combings import (
     CapExceeded,
     FiniteOracle,
     FreeOracle,
+    GroupOracle,
+    Nfa,
     Word,
     ball,
+    check_combing,
     free_reduce,
     ft_distance,
     invert_word,
@@ -66,6 +69,8 @@ def test_abelian_oracle_validation(ab2):
         AbelianOracle(ab2, 2, {"a": [1, 0]})
     with pytest.raises(ValueError):
         AbelianOracle(ab2, 2, {"a": [1], "b": [0, 1]})
+    with pytest.raises(ValueError, match="^rank -1 is negative$"):
+        AbelianOracle(ab2, -1, {"a": [], "b": []})
 
 
 def _message(make):
@@ -180,6 +185,72 @@ def test_mul_matches_concatenation(rng, ab2, z2_oracle, free2_oracle):
             u = random_word(rng, ab2, 6)
             v = random_word(rng, ab2, 6)
             assert o.mul(o.element(u), o.element(v)) == o.element(u + v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.data())
+def test_letter_products_agree_with_mul(data):
+    """mul_right and mul_left, which every oracle derives from mul, agree
+    with mul on a letter's image, with evaluating the longer word, and with
+    each other through inversion, for elements of a small ball."""
+    ab = data.draw(hst.sampled_from([AB1, AB2]))
+    o = data.draw(oracles(ab))
+    reps = ball(o, 2).rep
+    e = data.draw(hst.sampled_from(list(reps)))
+    w = reps[e]
+    letter = data.draw(hst.integers(0, len(ab) - 1))
+    x, inv = o.letter_element(letter), ab.inv[letter]
+    right, left = o.mul_right(e, letter), o.mul_left(letter, e)
+    assert right == o.mul(e, x) == o.element(w + Word(ab, [letter]))
+    assert left == o.mul(x, e) == o.element(Word(ab, [letter]) + w)
+    assert left == o.inv_element(o.mul_right(o.inv_element(e), inv))
+    assert o.mul_left(inv, left) == e == o.mul_right(right, inv)
+
+
+class _Cyclic(GroupOracle):
+    """ℤ/n on the letters a -> 1, A -> -1, defining only the four operations
+    a subclass must define."""
+
+    def __init__(self, alphabet, n):
+        self.alphabet = alphabet
+        self.n = n
+
+    def identity_element(self):
+        return 0
+
+    def letter_element(self, letter):
+        return 1 if letter == 0 else self.n - 1
+
+    def inv_element(self, e):
+        return -e % self.n
+
+    def mul(self, e, f):
+        return (e + f) % self.n
+
+
+def test_an_oracle_of_four_operations_matches_its_table(rng, ab1):
+    """A GroupOracle subclass that defines only identity_element,
+    letter_element, inv_element and mul gives the same balls, distances,
+    fellow-traveler distances and combing reports as the finite table of
+    the same group."""
+    n = 5
+    derived = _Cyclic(ab1, n)
+    table = FiniteOracle(ab1, [[(i + j) % n for j in range(n)] for i in range(n)], {"a": 1})
+    for k in range(4):
+        d, t = ball(derived, k), ball(table, k)
+        assert (d.dist, d.rep) == (t.dist, t.rep)
+    assert [derived.distance_from_identity(e) for e in range(n)] == [0, 1, 2, 2, 1]
+    assert [table.distance_from_identity(e) for e in range(n)] == [0, 1, 2, 2, 1]
+    for _ in range(50):
+        u, v = random_word(rng, ab1, 6), random_word(rng, ab1, 6)
+        for mode in ("sync", "async"):
+            assert ft_distance(derived, mode, u, v) == ft_distance(table, mode, u, v)
+    normal = Nfa(ab1, 5, [(0, 0, 1), (1, 0, 2), (0, 1, 3), (3, 1, 4)], 0, range(5))
+    star = Nfa(ab1, 1, [(0, 0, 0)], 0, [0])
+    for c in (normal, star):
+        assert check_combing(c, derived, 3, 6) == check_combing(c, table, 3, 6)
+    assert check_combing(normal, derived, 3, 6).passed
+    assert not check_combing(star, derived, 3, 6).passed
 
 
 def test_abelian_distance_unit_weights_is_l1(ab3):

@@ -262,7 +262,7 @@ def test_ft_bound_of_combing_over_the_cap(slex_z2, z2_oracle, monkeypatch):
 
 class _CountingAbelian(AbelianOracle):
     """Counts the mul and distance_from_identity calls made while
-    `counting` is set."""
+    `counting` is set; the mul inside a letter product is not counted."""
 
     counting = True
     calls = 0
@@ -270,6 +270,19 @@ class _CountingAbelian(AbelianOracle):
     def mul(self, e, f):
         self.calls += self.counting
         return super().mul(e, f)
+
+    def _uncounted(self, product, *args):
+        counting, self.counting = self.counting, False
+        try:
+            return product(*args)
+        finally:
+            self.counting = counting
+
+    def mul_right(self, e, letter):
+        return self._uncounted(super().mul_right, e, letter)
+
+    def mul_left(self, letter, e):
+        return self._uncounted(super().mul_left, letter, e)
 
     def distance_from_identity(self, e):
         self.calls += self.counting
