@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Union
 
 from .linear import LinearLanguage
-from .nfa import Nfa, _sorted_adjacency, renumber_bfs
+from .nfa import Nfa, renumber_bfs
 from .oracle import AbelianOracle, FiniteOracle, FreeOracle, GroupOracle
 from .transducer import Transducer
 from .words import Alphabet
@@ -108,11 +108,16 @@ def _parse_machine(cur: _Cursor, alphabet: Alphabet, nlabels: int):
     if len(toks) != 2 or toks[0] != "initial":
         raise FormatError(lineno or 1, "expected an initial line")
     initial = _int(lineno, toks[1], "initial state")
+    if not 0 <= initial < n:
+        raise FormatError(lineno, f"initial vertex {initial} out of range")
 
     lineno, toks = cur.take()
     if not toks or toks[0] != "final":
         raise FormatError(lineno or 1, "expected a final line")
     finals = [_int(lineno, tok, "final state") for tok in toks[1:]]
+    for t in finals:
+        if not 0 <= t < n:
+            raise FormatError(lineno, f"terminal vertex {t} out of range")
 
     edges = []
     while not cur.done():
@@ -127,13 +132,12 @@ def _parse_machine(cur: _Cursor, alphabet: Alphabet, nlabels: int):
         dst = _int(lineno, toks[-1], "edge target")
         labels = [_label(lineno, alphabet, tok) for tok in toks[2:-1]]
         lab = labels[0] if nlabels == 1 else tuple(labels)
+        if not (0 <= src < n and 0 <= dst < n):
+            raise FormatError(lineno, f"edge ({src},{lab},{dst}) out of range")
         edges.append((src, lab, dst))
-    try:
-        if nlabels == 1:
-            return Nfa(alphabet, n, edges, initial, finals)
-        return Transducer(alphabet, n, edges, initial, finals)
-    except ValueError as e:
-        raise FormatError(lineno, str(e)) from None
+    if nlabels == 1:
+        return Nfa(alphabet, n, edges, initial, finals)
+    return Transducer(alphabet, n, edges, initial, finals)
 
 
 def _parse_oracle(cur: _Cursor, alphabet: Alphabet, kind_lineno: int, toks: list[str]):
@@ -158,6 +162,8 @@ def _parse_oracle(cur: _Cursor, alphabet: Alphabet, kind_lineno: int, toks: list
                 raise FormatError(lineno, f"unexpected line {toks[0]!r} in oracle body")
             if len(toks) != 2 + rank:
                 raise FormatError(lineno, f"weight line takes a letter and {rank} integers")
+            if toks[1] in weights:
+                raise FormatError(lineno, f"weight {toks[1]} given twice")
             weights[toks[1]] = [_int(lineno, t, "weight entry") for t in toks[2:]]
         try:
             return AbelianOracle(alphabet, rank, weights)
@@ -173,13 +179,23 @@ def _parse_oracle(cur: _Cursor, alphabet: Alphabet, kind_lineno: int, toks: list
             lineno, toks = cur.take()
             if len(toks) != 3:
                 raise FormatError(lineno, "letter line takes a letter and an element")
-            letters[toks[1]] = _int(lineno, toks[2], "letter image")
+            if toks[1] in letters:
+                raise FormatError(lineno, f"letter {toks[1]} given twice")
+            letters[toks[1]] = g = _int(lineno, toks[2], "letter image")
+            if not 0 <= g < count:
+                raise FormatError(lineno, f"letter {toks[1]} maps to {g}, out of range")
         table = []
         while not cur.done():
             lineno, toks = cur.take()
             if toks[0] != "table":
                 raise FormatError(lineno, f"unexpected line {toks[0]!r} in oracle body")
-            table.append([_int(lineno, t, "table entry") for t in toks[1:]])
+            row = [_int(lineno, t, "table entry") for t in toks[1:]]
+            if len(row) != count:
+                raise FormatError(lineno, f"table row {len(table)} has length {len(row)}, want {count}")
+            for h in row:
+                if not 0 <= h < count:
+                    raise FormatError(lineno, f"table entry {h} out of range")
+            table.append(row)
         if len(table) != count:
             raise FormatError(lineno, f"expected {count} table rows, got {len(table)}")
         try:
@@ -238,8 +254,8 @@ def _write_machine(a: Union[Nfa, Transducer], kind_line: str) -> str:
         tapes = lab if isinstance(a, Transducer) else (lab,)
         text[lab] = " ".join("-" if x is None else syms[x] for x in tapes)
     # edges by source, then label key, then target
-    for s, row in enumerate(_sorted_adjacency(a)):
-        for _key, d, lab in row:
+    for row in a.adjacency():
+        for s, lab, d in row:
             lines.append(f"edge {s} {text[lab]} {d}")
     return "\n".join(lines).rstrip() + "\n"
 

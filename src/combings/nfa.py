@@ -9,6 +9,8 @@ relabelling, breadth-first renumbering) are written once here against
 Automaton and build the input's own class.  Every product construction
 (subset constructions, pair products, renumbering) numbers its vertices
 through _explore, the one numbering policy: breadth-first discovery order.
+Every walk over out-edges reads Automaton.adjacency(), the one out-edge
+order: by label key, then target, the same in every process.
 A product that is only ever trimmed is not built as an automaton at all:
 _trim_union trims its explored keys and edges to each terminal set and
 unites the pieces in one pass, so only what survives is validated and
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import chain
+from operator import itemgetter
 from typing import Collection, Hashable, Iterable, Optional, TypeVar
 
 from .words import Alphabet, Word
@@ -68,11 +71,17 @@ class Automaton:
         for lab in {e[1] for e in self.edges}:
             self.check_label(lab, k)
 
-    def adjacency(self) -> list[list[tuple[Hashable, int]]]:
+    def adjacency(self) -> list[list[tuple[int, Hashable, int]]]:
+        """Row v: v's own edge triples (v, label, target) by label_key, then
+        target: the one out-edge order, the same in every process.  Cached."""
         if self._adj is None:
-            adj: list[list[tuple[Hashable, int]]] = [[] for _ in range(self.n)]
-            for s, lab, d in self.edges:
-                adj[s].append((lab, d))
+            by_label: dict[Hashable, list] = {}
+            for e in self.edges:
+                by_label.setdefault(e[1], []).append(e)
+            adj: list[list[tuple[int, Hashable, int]]] = [[] for _ in range(self.n)]
+            for lab in sorted(by_label, key=self.label_key):
+                for e in sorted(by_label[lab], key=itemgetter(2)):
+                    adj[e[0]].append(e)
             self._adj = adj
         return self._adj
 
@@ -507,7 +516,6 @@ def from_word(alphabet: Alphabet, w: Word) -> Nfa:
 
 def remove_epsilon(a: Nfa) -> Nfa:
     """Equivalent automaton without epsilon edges (same vertex set)."""
-    adj = a.adjacency()
     edges: set[Edge] = set()
     terms = set()
     for p in range(a.n):
@@ -515,32 +523,17 @@ def remove_epsilon(a: Nfa) -> Nfa:
         if cl & a.terminals:
             terms.add(p)
         for r in cl:
-            for x, q in adj[r]:
+            for _r, x, q in a.adjacency()[r]:
                 if x is not None:
                     edges.add((p, x, q))
     return Nfa(a.alphabet, a.n, edges, a.initial, terms)
-
-
-def _sorted_adjacency(a: Automaton) -> list[list[tuple[Hashable, int, Hashable]]]:
-    """Each vertex's out-edges as (label key, target, label), in increasing
-    order: an order that does not depend on the iteration order of the edge
-    set.  No two triples of a vertex share key and target, so labels are
-    never compared."""
-    key = {lab: a.label_key(lab) for lab in {e[1] for e in a.edges}}
-    rows: list[list[tuple[Hashable, int, Hashable]]] = [[] for _ in range(a.n)]
-    for s, lab, d in a.edges:
-        rows[s].append((key[lab], d, lab))
-    for row in rows:
-        row.sort()
-    return rows
 
 
 def renumber_bfs(a: A) -> A:
     """Canonical renumbering: breadth-first from the initial vertex, edges
     ordered epsilon first then by label key then by old target id.
     Unreachable vertices keep their relative order after the reachable part."""
-    adj = _sorted_adjacency(a)
-    order, _edges = _explore(a.initial, lambda p: [(lab, q) for _key, q, lab in adj[p]])
+    order, _edges = _explore(a.initial, lambda p: [(lab, q) for _p, lab, q in a.adjacency()[p]])
     reached = set(order)
     order.extend(p for p in range(a.n) if p not in reached)
     remap = {old: new for new, old in enumerate(order)}

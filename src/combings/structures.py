@@ -169,8 +169,6 @@ def search_significant(words: list[Word]) -> Optional[list[SigWord]]:
             for s1, s2 in ((x, y), (y, x))
         )
 
-    choice: list[int] = []
-
     def backtrack(i: int) -> bool:
         if i == len(orbits):
             return True
@@ -181,11 +179,9 @@ def search_significant(words: list[Word]) -> Optional[list[SigWord]]:
             cand = SigWord(w, pos)
             if ok_with(cand):
                 assigned.append(cand)
-                choice.append(pos)
                 if backtrack(i + 1):
                     return True
                 assigned.pop()
-                choice.pop()
         return False
 
     if not backtrack(0):
@@ -393,9 +389,7 @@ def core_subgraph(t: Transducer) -> tuple[frozenset[int], frozenset]:
     successors: a vertex goes once every edge out of it leads to a peeled
     vertex, and what is never peeled reaches a cycle.
     """
-    out = [0] * t.n
-    for s, _lab, _d in t.edges:
-        out[s] += 1
+    out = [len(row) for row in t.adjacency()]
     back = nfa_mod._arrows(t.n, t.edges, False)
     peeled = [v for v in range(t.n) if not out[v]]
     for v in peeled:  # the list grows while it is walked
@@ -429,17 +423,16 @@ def _core_projections(t: Transducer, core_v: frozenset[int], core_e) -> Nfa:
     inversion closure t ∪ t⁻¹, every state terminal.  The closure's root
     lies in its core exactly when t's core is nonempty, and the core of t⁻¹
     is t's core read on the second tape, so this is the union of the two
-    projections of t's core, numbered as the closure's would be.  t is
-    trimmed, so its initial vertex is in a nonempty core.  An empty core
-    yields the one-word language {ε}."""
+    projections of t's core, left in t's numbering: the caller minimizes
+    it, and minimize yields one automaton per language.  t is trimmed, so
+    its initial vertex is in a nonempty core.  An empty core yields the
+    one-word language {ε}."""
     if not core_v:
         return Nfa(t.alphabet, 1, [], 0, [0])
-    order = sorted(core_v)
-    remap = {old: new for new, old in enumerate(order)}
-    tapes = []
-    for tape in (0, 1):
-        edges = [(remap[s], lab[tape], remap[d]) for s, lab, d in core_e]
-        tapes.append(Nfa(t.alphabet, len(order), edges, remap[t.initial], range(len(order))))
+    tapes = [
+        Nfa(t.alphabet, t.n, [(s, lab[tape], d) for s, lab, d in core_e], t.initial, core_v)
+        for tape in (0, 1)
+    ]
     return nfa_mod.union_all(tapes)
 
 
@@ -491,7 +484,7 @@ def _tail_classes(t: Transducer, core_v: frozenset[int], core_e, o: GroupOracle)
     while stack:
         key = stack.pop()
         v, ex, ey = key
-        for lab, q in adj[v]:
+        for _v, lab, q in adj[v]:
             visit(apply(lab, q, ex, ey)).append(key)
 
     classes = {e0}
@@ -513,22 +506,19 @@ def _tail_classes(t: Transducer, core_v: frozenset[int], core_e, o: GroupOracle)
 # ----------------------------------------------------------------- extraction
 
 
-def _pair_product(c1: Nfa, c2: Nfa, o: GroupOracle, bl: CayleyBall):
-    """Reachable product of two word automata without ε edges with a
-    Cayley-ball tracker: states (p, q, h) with h the class of u^-1·v for
-    the prefixes read so far.  Returns the state list and the edges over
-    it, vertex 0 initial, as _explore does.  Each move x^-1·h·y is read off
-    a row built the first time the walk reaches h, mapping each letter x
-    of c1 or ε, then each letter y of c2 or ε, to the ball id of x^-1·h·y,
-    None outside the ball; x^-1·h itself may lie outside."""
-    if c1.alphabet != c2.alphabet:
-        raise ValueError("different alphabets")
-    inv = c1.alphabet.inv
-    a1 = c1.adjacency()
-    a2 = c2.adjacency()
+def _pair_product(c: Nfa, o: GroupOracle, bl: CayleyBall):
+    """Reachable product of a word automaton without ε edges with itself
+    and a Cayley-ball tracker: states (p, q, h) with h the class of u^-1·v
+    for the prefixes u and v read so far.  Returns the state list and the
+    edges over it, vertex 0 initial, as _explore does.  Each move x^-1·h·y
+    is read off a row built the first time the walk reaches h, mapping each
+    letter x of c or ε, then each letter y of c or ε, to the ball id of
+    x^-1·h·y, None outside the ball; x^-1·h itself may lie outside."""
+    inv = c.alphabet.inv
+    adj = c.adjacency()
     elems = list(bl.dist)
     ids = {e: i for i, e in enumerate(elems)}
-    xs, ys = ([None, *{e[1] for e in c.edges}] for c in (c1, c2))
+    xs = [None, *{e[1] for e in c.edges}]
     rows: list[Optional[dict]] = [None] * len(elems)
 
     def row(h: int) -> dict:
@@ -536,23 +526,23 @@ def _pair_product(c1: Nfa, c2: Nfa, o: GroupOracle, bl: CayleyBall):
         for x in xs:
             e = elems[h] if x is None else o.mul_left(inv[x], elems[h])
             # every move reads a letter
-            out[x] = {y: ids.get(e if y is None else o.mul_right(e, y)) for y in (ys[1:] if x is None else ys)}
+            out[x] = {y: ids.get(e if y is None else o.mul_right(e, y)) for y in (xs[1:] if x is None else xs)}
         return out
 
     def moves(key):
         p, q, h = key
         steps = rows[h] or row(h)
-        moves2 = a2[q] + [(None, q)]
+        moves2 = adj[q] + [(q, None, q)]
         out = []
-        for x, p2 in a1[p] + [(None, p)]:
+        for _p, x, p2 in adj[p] + [(p, None, p)]:
             ends = steps[x]
-            for y, q2 in moves2:
+            for _q, y, q2 in moves2:
                 h2 = ends.get(y)
                 if h2 is not None:
                     out.append(((x, y), (p2, q2, h2)))
         return out
 
-    keys, edges = nfa_mod._explore((c1.initial, c2.initial, ids[o.identity_element()]), moves)
+    keys, edges = nfa_mod._explore((c.initial, c.initial, ids[o.identity_element()]), moves)
     return [(p, q, elems[h]) for p, q, h in keys], edges
 
 
@@ -578,7 +568,7 @@ def extract_generators(c: Nfa, o: GroupOracle, ft_bound: int) -> LinearLanguage:
         raise ValueError("the combing and the oracle are over different alphabets")
     c = nfa_mod.remove_epsilon(nfa_mod.trim(c))
     bl = ball(o, ft_bound)
-    statelist, edges = _pair_product(c, c, o, bl)
+    statelist, edges = _pair_product(c, o, bl)
     alphabet = c.alphabet
     n = len(statelist)
     term_sets = []
@@ -842,7 +832,7 @@ def build_combing(
     )
 
     # C0 is minimal: trimmed, and without the ε edges the pair product forbids
-    statelist, prod_edges = _pair_product(c0, c0, o, bl_r)
+    statelist, prod_edges = _pair_product(c0, o, bl_r)
     reach_h = {h for (_p, _q, h) in statelist}
 
     x_elems = [(x, o.element(x)) for x in xs]

@@ -62,8 +62,8 @@ def _pair_path(t: Transducer, u: Word, v: Word, total: int) -> Optional[list[TEd
                 path.append(edge)
             path.reverse()
             return path
-        for lab, q in adj[p]:
-            x, y = lab
+        for edge in adj[p]:
+            _p, (x, y), q = edge
             i2, j2 = i + (x is not None), j + (y is not None)
             if i2 + j2 > total:
                 continue
@@ -73,7 +73,7 @@ def _pair_path(t: Transducer, u: Word, v: Word, total: int) -> Optional[list[TEd
                 continue
             nxt = (q, i2, j2)
             if nxt not in parent:
-                parent[nxt] = (key, (p, lab, q))
+                parent[nxt] = (key, edge)
                 queue.append(nxt)
     return None
 
@@ -131,20 +131,20 @@ def _explore_side(
     Product states are pairs (t-state, r-state).  A t-edge whose tape label
     is epsilon leaves the r-state in place (the loop trick: r is padded with
     epsilon loops at every vertex); r's own epsilon edges advance alone
-    under an (ε,ε) label.  Both adjacencies are walked in sorted label
-    order, so the ids do not depend on the iteration order of the edge
-    sets.  With `_allowed`, a bit set of r-states per t-state as
-    _coreachable_masks gives it, only the initial pair and the pairs (p, q)
-    with bit q of _allowed[p] set are created, and edges into any other
-    pair are dropped; edges into the initial pair are kept even when its
-    own bit is clear.
+    under an (ε,ε) label.  Both automata's out-edges are walked in the one
+    order of adjacency(), by label key and then target, so the ids do not
+    depend on the iteration order of the edge sets.  With `_allowed`, a
+    bit set of r-states per t-state as _coreachable_masks gives it, only
+    the initial pair and the pairs (p, q) with bit q of _allowed[p] set are
+    created, and edges into any other pair are dropped; edges into the
+    initial pair are kept even when its own bit is clear.
     """
     if t.alphabet != r.alphabet:
         raise ValueError("different alphabets")
-    tadj = nfa_mod._sorted_adjacency(t)
+    tadj = t.adjacency()
     rnext: list[dict[Optional[int], list[int]]] = [{} for _ in range(r.n)]
-    for q, row in enumerate(nfa_mod._sorted_adjacency(r)):
-        for _rkey, q2, rl in row:
+    for row in r.adjacency():
+        for q, rl, q2 in row:
             rnext[q].setdefault(rl, []).append(q2)
     allowed = [-1] * t.n if _allowed is None else list(_allowed)  # -1: every bit set
     allowed[t.initial] |= 1 << r.initial
@@ -153,7 +153,7 @@ def _explore_side(
         p, q = key
         nxt = rnext[q]
         out = []
-        for _key, p2, lab in tadj[p]:
+        for _p, lab, p2 in tadj[p]:
             x = lab[side]
             live = allowed[p2]
             for q2 in (q,) if x is None else nxt.get(x, ()):
@@ -315,7 +315,7 @@ def _balance_potentials(t: Transducer):
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            for lab, d in adj[v]:
+            for _v, lab, d in adj[v]:
                 if comp[d] != comp[v]:
                     continue
                 if not seen[d]:
@@ -366,7 +366,7 @@ def synchronized_bound(t: Transducer) -> Optional[int]:
             lo[v] = base_lo + phi[v]
             hi[v] = base_hi + phi[v]
         for s in vs:
-            for lab, d in adj[s]:
+            for _s, lab, d in adj[s]:
                 if comp[d] == c:
                     continue
                 w = _weight(lab)
@@ -398,7 +398,7 @@ def enumerate_pairs(t: Transducer, max_total: int) -> list[tuple[Word, Word]]:
         for (u, v), states in bucket.items():
             walk = list(states)
             for p in walk:  # the list grows while it is walked
-                for (x, y), q in adj[p]:
+                for _p, (x, y), q in adj[p]:
                     if x is None and y is None:
                         if q not in states:
                             states.add(q)

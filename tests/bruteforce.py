@@ -241,16 +241,21 @@ def _eager_dfa(a: Nfa):
 
 def bfs_order(a):
     """The vertices of a in the order of a plain breadth-first search from
-    the initial vertex over nfa._sorted_adjacency, then the unreached ones
-    in increasing order: the order renumber_bfs must number them in."""
-    adj = nfa_mod._sorted_adjacency(a)
+    the initial vertex, each vertex's out-edges taken by label key and then
+    target, then the unreached ones in increasing order: the order
+    renumber_bfs must number them in."""
+    adj = [[] for _ in range(a.n)]
+    for s, lab, d in a.edges:
+        adj[s].append((a.label_key(lab), d))
+    for row in adj:
+        row.sort()
     order = []
     seen = {a.initial}
     queue = deque([a.initial])
     while queue:
         p = queue.popleft()
         order.append(p)
-        for _key, q, _lab in adj[p]:
+        for _key, q in adj[p]:
             if q not in seen:
                 seen.add(q)
                 queue.append(q)
@@ -449,16 +454,17 @@ def pair_product_bf(c1, c2, o, bl):
     states (p, q, h), each move reading a letter x of c1, a letter y of c2
     or both, with h going to x⁻¹·h·y as the oracle's mul computes it from
     the letters' elements, kept when that lies in the ball bl.  Each
-    automaton's moves are its edges out of the state in edge-set order,
-    then staying put.  Returns the states and the edges, as _explore does."""
+    automaton's moves are its edges out of the state sorted by letter and
+    then target, then staying put.  Returns the states and the edges, as
+    _explore does."""
     inv = c1.alphabet.inv
     start = (c1.initial, c2.initial, o.identity_element())
     ids = {start: 0}
     keys = [start]
     edges = []
     for i, (p, q, h) in enumerate(keys):
-        for x, p2 in [(x, d) for s, x, d in c1.edges if s == p] + [(None, p)]:
-            for y, q2 in [(y, d) for s, y, d in c2.edges if s == q] + [(None, q)]:
+        for x, p2 in sorted((x, d) for s, x, d in c1.edges if s == p) + [(None, p)]:
+            for y, q2 in sorted((y, d) for s, y, d in c2.edges if s == q) + [(None, q)]:
                 if x is None and y is None:
                     continue
                 h2 = h if x is None else o.mul(o.letter_element(inv[x]), h)

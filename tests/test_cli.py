@@ -7,6 +7,7 @@ from combings import transducer as td
 from combings import cli
 from combings.cli import main
 from bruteforce import pairs_of_transducer
+from test_fileformat import LINE_FAULTS
 from test_structures import Z2_SHORTLEX_EDGES
 
 
@@ -311,6 +312,21 @@ def test_negative_rank_is_a_format_error(tmp_path, capsys, full_star_file):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: line 4: rank -1 is negative\n"
+
+
+@pytest.mark.parametrize("text, lineno, message", LINE_FAULTS)
+def test_fault_line_on_the_command_line(tmp_path, capsys, full_star_file, text, lineno, message):
+    """The CLI names the line at fault in its one error line and exits 2."""
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    if "oracle" in text:
+        argv = ["check-combing", full_star_file, "--oracle", str(bad), "--radius", "2", "--maxlen", "2"]
+    else:
+        argv = ["enum", str(bad), "--maxlen", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line {lineno}: {message}\n"
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

@@ -137,6 +137,56 @@ def test_error_reports_line_numbers():
     assert err.value.lineno == 4
 
 
+NFA_2 = "alphabet a A\ninverse a A\nnfa\nstates 2\n"
+FINITE_2 = "alphabet a A\ninverse a A\noracle finite\nelements 2\n"
+ABELIAN_1 = "alphabet a A\ninverse a A\noracle abelian\nrank 1\n"
+Z2_TABLE = "table 0 1\ntable 1 0\n"
+# (file text, line at fault, message): each fault sits before other lines
+LINE_FAULTS = [
+    pytest.param(NFA_2 + "initial 5\nfinal 0\nedge 0 a 1\n", 5, "initial vertex 5 out of range", id="initial"),
+    pytest.param(
+        NFA_2 + "initial 0\nfinal 7\nedge 0 a 1\nedge 1 a 0\n", 6, "terminal vertex 7 out of range", id="final"
+    ),
+    pytest.param(
+        NFA_2 + "initial 0\nfinal 0\nedge 0 a 9\nedge 1 a 0\nedge 0 A 1\n", 7, "edge (0,0,9) out of range", id="edge"
+    ),
+    pytest.param(
+        NFA_2.replace("nfa", "transducer") + "initial 0\nfinal 0\nedge 9 a - 0\nedge 0 - a 1\n",
+        7,
+        "edge (9,(0, None),0) out of range",
+        id="transducer-edge",
+    ),
+    pytest.param(
+        FINITE_2 + "letter a 1\ntable 0 1 0\ntable 1 0\n", 6, "table row 0 has length 3, want 2", id="row-length"
+    ),
+    pytest.param(FINITE_2 + "letter a 1\ntable 0 2\ntable 1 0\n", 6, "table entry 2 out of range", id="row-entry"),
+    pytest.param(FINITE_2 + "letter a 5\n" + Z2_TABLE, 5, "letter a maps to 5, out of range", id="letter-image"),
+    pytest.param(FINITE_2 + "letter a 1\nletter a 0\n" + Z2_TABLE, 6, "letter a given twice", id="letter-twice"),
+    pytest.param(ABELIAN_1 + "weight a 1\nweight a 2\n", 6, "weight a given twice", id="weight-twice"),
+]
+
+
+@pytest.mark.parametrize("text, lineno, message", LINE_FAULTS)
+def test_fault_is_reported_at_its_own_line(text, lineno, message):
+    """A range fault or a repeated letter is reported at the line that
+    holds it, not at the last line read, with the constructor's message."""
+    with pytest.raises(ff.FormatError) as err:
+        ff.parse(text)
+    assert err.value.lineno == lineno
+    assert str(err.value) == f"line {lineno}: {message}"
+
+
+def test_a_line_for_the_inverse_letter_is_allowed():
+    """A repeated letter is refused, but a line for its inverse letter is
+    not: the oracle checks that the two values are inverse."""
+    z2 = ff.parse(FINITE_2 + "letter a 1\nletter A 1\n" + Z2_TABLE)
+    assert z2.letter_images == (1, 1)
+    z = ff.parse(ABELIAN_1 + "weight a 1\nweight A -1\n")
+    assert z.weights == ((1,), (-1,))
+    with pytest.raises(ff.FormatError, match="weights of a and A are not negatives"):
+        ff.parse(ABELIAN_1 + "weight a 1\nweight A 2\n")
+
+
 def test_absurd_state_count_rejected():
     """A state count beyond MAX_STATES fails on its own line, before
     anything is allocated per state."""

@@ -608,9 +608,9 @@ def test_pair_product_matches_oracle_products(data):
     oracle: on free, L1 and non-L1 abelian and finite-table oracles."""
     ab = data.draw(hst.sampled_from([AB1, AB2]))
     o = data.draw(oracles(ab))
-    c1, c2 = (nfa_mod.remove_epsilon(data.draw(_nfas(ab))) for _ in range(2))
+    c = nfa_mod.remove_epsilon(data.draw(_nfas(ab)))
     bl = ball(o, data.draw(hst.integers(0, 3)))
-    assert structures._pair_product(c1, c2, o, bl) == pair_product_bf(c1, c2, o, bl)
+    assert structures._pair_product(c, o, bl) == pair_product_bf(c, c, o, bl)
 
 
 def test_pair_product_keeps_a_move_whose_middle_leaves_the_ball(ab1, z_oracle):
@@ -618,7 +618,7 @@ def test_pair_product_keeps_a_move_whose_middle_leaves_the_ball(ab1, z_oracle):
     A^-1·a = a² outside the ball and ends at a² · A = a inside it."""
     c = Nfa(ab1, 1, [(0, 0, 0), (0, 1, 0)], 0, [0])
     bl = ball(z_oracle, 1)
-    keys, edges = structures._pair_product(c, c, z_oracle, bl)
+    keys, edges = structures._pair_product(c, z_oracle, bl)
     assert (keys, edges) == pair_product_bf(c, c, z_oracle, bl)
     a = keys.index((0, 0, (1,)))
     assert (a, (1, 1), a) in edges
@@ -641,7 +641,7 @@ def test_shared_masks_match_the_per_element_loop(data):
     ab = data.draw(hst.sampled_from([AB1, AB2]))
     o = data.draw(oracles(ab))
     c0 = nfa_mod.minimize(data.draw(_nfas(ab)))
-    statelist, prod_edges = structures._pair_product(c0, c0, o, ball(o, data.draw(hst.integers(0, 3))))
+    statelist, prod_edges = structures._pair_product(c0, o, ball(o, data.draw(hst.integers(0, 3))))
     got = mask_classes(structures._shared_difference(c0, statelist, prod_edges))
     assert got == shared_masks_by_elements(c0, statelist, prod_edges)
 

@@ -1,9 +1,13 @@
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import combings
 from combings import Alphabet, Nfa, Transducer, Word
 from combings import linear as lin
 from combings import nfa as nfa_mod
@@ -143,7 +147,7 @@ def test_trim_union_against_trim_then_union(rnd, make, explored):
     initial = rnd.randrange(a.n)
     if explored:
         adj = a.adjacency()
-        keys, edges = nfa_mod._explore(initial, lambda p: adj[p])
+        keys, edges = nfa_mod._explore(initial, lambda p: [(lab, q) for _p, lab, q in adj[p]])
         a = type(a)(AB2, len(keys), edges, 0, [])
     else:
         a = type(a)(AB2, a.n, a.edges, initial, [])
@@ -502,3 +506,59 @@ def test_explore_side_keeps_edges_into_an_initial_pair_without_targets(ab2):
         assert masks == [0, 1]
         assert td._explore_side(t, r, side, masks) == ([(0, 0)], [(0, (0, 1), 0)])
         assert td._explore_side(t, r, side, [0, 0]) == ([(0, 0)], [(0, (0, 1), 0)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.randoms(use_true_random=False), hst.sampled_from([random_nfa, random_transducer]))
+def test_adjacency_rows_are_the_sorted_edges(rnd, make):
+    """Row v of adjacency() holds v's own edge triples, the very tuples of
+    the edge set, by label key and then by target."""
+    a = make(rnd, AB2, max_states=6, eps_frac=0.3)
+    want = [
+        sorted((e for e in a.edges if e[0] == v), key=lambda e: (a.label_key(e[1]), e[2]))
+        for v in range(a.n)
+    ]
+    got = a.adjacency()
+    assert got == want
+    own = {id(e) for e in a.edges}
+    assert all(id(e) in own for row in got for e in row)
+
+
+# Row 0 holds labels with None, whose hash, before Python 3.12, follows the
+# address of None.  The pair (a, a) has three paths of two edges: through 1,
+# through 2, and by the (a, a) loop at 0 and the (ε, ε) edge to 3.
+WALK_ORDER_SCRIPT = """
+import sys
+sys.path[:0] = [{src!r}]
+from combings import Alphabet, Transducer, Word
+from combings import transducer as td
+ab = Alphabet.from_pairs([("a", "A")])
+edges = [(0, (0, None), 1), (0, (None, 0), 2), (1, (None, 0), 3), (2, (0, None), 3),
+         (0, (None, None), 3), (0, (1, 1), 0), (0, (0, 0), 0), (0, (None, 1), 1)]
+t = Transducer(ab, 4, edges, 0, [3])
+u = Word(ab, [0])
+print(t.adjacency()[0])
+print(td._pair_path(t, u, u, 2))
+"""
+
+
+def test_walk_order_is_the_same_in_every_process():
+    """Two processes list row 0 and find the path of (a, a) alike, in the
+    sorted order: ε on the first tape before a, so the path goes through 2."""
+    src = str(Path(combings.__file__).resolve().parents[1])
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", WALK_ORDER_SCRIPT.format(src=src)],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        ).stdout
+        for _ in range(2)
+    ]
+    row = [
+        (0, (None, None), 3), (0, (None, 0), 2), (0, (None, 1), 1),
+        (0, (0, None), 1), (0, (0, 0), 0), (0, (1, 1), 0),
+    ]
+    path = [(0, (None, 0), 2), (2, (0, None), 3)]
+    assert outs == [f"{row}\n{path}\n"] * 2
