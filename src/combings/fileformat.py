@@ -14,7 +14,7 @@ from typing import Union
 
 from .linear import LinearLanguage
 from .nfa import Nfa, renumber_bfs
-from .oracle import AbelianOracle, FiniteOracle, FreeOracle, GroupOracle
+from .oracle import AbelianOracle, FiniteOracle, FreeOracle, GroupOracle, LetterError
 from .transducer import Transducer
 from .words import Alphabet
 
@@ -155,7 +155,7 @@ def _parse_oracle(cur: _Cursor, alphabet: Alphabet, kind_lineno: int, toks: list
         rank = _int(lineno, toks[1], "rank")
         if rank < 0:
             raise FormatError(lineno, f"rank {rank} is negative")
-        weights = {}
+        weights, lines = {}, {}
         while not cur.done():
             lineno, toks = cur.take()
             if toks[0] != "weight":
@@ -165,16 +165,17 @@ def _parse_oracle(cur: _Cursor, alphabet: Alphabet, kind_lineno: int, toks: list
             if toks[1] in weights:
                 raise FormatError(lineno, f"weight {toks[1]} given twice")
             weights[toks[1]] = [_int(lineno, t, "weight entry") for t in toks[2:]]
+            lines[toks[1]] = lineno
         try:
             return AbelianOracle(alphabet, rank, weights)
-        except ValueError as e:
-            raise FormatError(lineno, str(e)) from None
+        except ValueError as e:  # a fault of a letter pair lies at the later line
+            raise FormatError(lines[e.symbol] if isinstance(e, LetterError) else lineno, str(e)) from None
     if kind == "finite":
         lineno, toks = cur.take()
         if len(toks) != 2 or toks[0] != "elements":
             raise FormatError(lineno or 1, "expected an elements line")
         count = _int(lineno, toks[1], "element count")
-        letters = {}
+        letters, lines = {}, {}
         while not cur.done() and cur.peek()[1][0] == "letter":
             lineno, toks = cur.take()
             if len(toks) != 3:
@@ -182,6 +183,7 @@ def _parse_oracle(cur: _Cursor, alphabet: Alphabet, kind_lineno: int, toks: list
             if toks[1] in letters:
                 raise FormatError(lineno, f"letter {toks[1]} given twice")
             letters[toks[1]] = g = _int(lineno, toks[2], "letter image")
+            lines[toks[1]] = lineno
             if not 0 <= g < count:
                 raise FormatError(lineno, f"letter {toks[1]} maps to {g}, out of range")
         table = []
@@ -200,8 +202,8 @@ def _parse_oracle(cur: _Cursor, alphabet: Alphabet, kind_lineno: int, toks: list
             raise FormatError(lineno, f"expected {count} table rows, got {len(table)}")
         try:
             return FiniteOracle(alphabet, table, letters)
-        except ValueError as e:
-            raise FormatError(lineno, str(e)) from None
+        except ValueError as e:  # a fault of a letter pair lies at the later line
+            raise FormatError(lines[e.symbol] if isinstance(e, LetterError) else lineno, str(e)) from None
     raise FormatError(kind_lineno, f"unknown oracle kind {kind!r}")
 
 

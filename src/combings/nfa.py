@@ -10,7 +10,10 @@ Automaton and build the input's own class.  Every product construction
 (subset constructions, pair products, renumbering) numbers its vertices
 through _explore, the one numbering policy: breadth-first discovery order.
 Every walk over out-edges reads Automaton.adjacency(), the one out-edge
-order: by label key, then target, the same in every process.
+order: by label key, then target, the same in every process; every cycle
+question reads Automaton.components(), one Tarjan pass over those rows.
+Both are cached, and what _trim_union builds is marked trimmed, so a build
+analyses its generator half once and never trims it twice.
 A product that is only ever trimmed is not built as an automaton at all:
 _trim_union trims its explored keys and edges to each terminal set and
 unites the pieces in one pass, so only what survives is validated and
@@ -41,7 +44,7 @@ class Automaton:
     letters lie in range(k), and label_key(label), a sort key that puts
     epsilon first."""
 
-    __slots__ = ("alphabet", "n", "edges", "initial", "terminals", "_adj")
+    __slots__ = ("alphabet", "n", "edges", "initial", "terminals", "_adj", "_comp", "_trimmed")
     EPS: Hashable
 
     def __init__(
@@ -57,7 +60,8 @@ class Automaton:
         self.edges = frozenset(edges)
         self.initial = initial
         self.terminals: frozenset[int] = frozenset(terminals)
-        self._adj = None
+        self._adj = self._comp = None
+        self._trimmed = False  # set by _trim_union on what it builds
         if not 0 <= initial < n:
             raise ValueError(f"initial vertex {initial} out of range")
         for t in self.terminals:
@@ -84,6 +88,13 @@ class Automaton:
                     adj[e[0]].append(e)
             self._adj = adj
         return self._adj
+
+    def components(self) -> tuple[list[int], list[list[int]]]:
+        """(comp, cyclic) of _tarjan from every vertex over the rows of
+        adjacency().  Cached."""
+        if self._comp is None:
+            self._comp = _tarjan(self.n, self.adjacency(), range(self.n))
+        return self._comp
 
     def __repr__(self) -> str:
         return (
@@ -178,6 +189,54 @@ def _search(adj: list[list[int]], starts: Iterable[int]) -> set[int]:
     return seen
 
 
+def _tarjan(n: int, rows, roots: Iterable[int]) -> tuple[list[int], list[list[int]]]:
+    """Strongly connected components of what roots reach, rows[v] holding
+    v's out-edges (v, label, w): comp[v] numbers v's component as they
+    close, sinks first (-1 if not reached), and cyclic lists the members of
+    each component with a cycle (more than one vertex, or a self-loop)."""
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    stack: list[int] = []
+    cyclic: list[list[int]] = []
+    loops = set()
+    count = ncomp = 0
+    for root in roots:
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count = count + 1
+        stack.append(root)
+        work = [(root, iter(rows[root]))]
+        while work:
+            v, it = work[-1]
+            for _v, _lab, w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = count = count + 1
+                    stack.append(w)
+                    work.append((w, iter(rows[w])))
+                    break
+                if comp[w] < 0:  # w is on the stack
+                    if index[w] < low[v]:
+                        low[v] = index[w]
+                    elif w == v:
+                        loops.add(v)
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    members = []
+                    w = -1
+                    while w != v:
+                        w = stack.pop()
+                        comp[w] = ncomp
+                        members.append(w)
+                    ncomp += 1
+                    if len(members) > 1 or v in loops:
+                        cyclic.append(members)
+    return comp, cyclic
+
+
 def _explore(start, moves) -> tuple[list, list[tuple]]:
     """Breadth-first closure of start under moves(key), a list of
     (label, key).  Returns the keys in discovery order, key i being vertex
@@ -200,7 +259,9 @@ def trim(a: A) -> A:
     to some terminal, renumbered in increasing order of their old ids.  The
     initial vertex always survives, so an automaton with empty language
     trims to a lone initial vertex with no terminals.  When every vertex is
-    kept, the result is a itself."""
+    kept, the result is a itself, and so is an automaton built trimmed."""
+    if a._trimmed:
+        return a
     return _trim_union(type(a), a.alphabet, a.n, a.edges, a.initial, [a.terminals], whole=a)
 
 
@@ -222,7 +283,8 @@ def _trim_union(
     backward search over the in-edges of reachable vertices finds the
     vertices a trim keeps, and their in-edges are its edges, so the work
     per trim is proportional to the trim.  An explored graph, every vertex
-    of which is reachable, needs no forward search."""
+    of which is reachable, needs no forward search.  The result is marked
+    trimmed."""
     reached = None if explored else _search(_arrows(n, edges, True), [initial])
     into: list[list[tuple]] = [[] for _ in range(n)]
     for e in edges:
@@ -241,9 +303,9 @@ def _trim_union(
         if ends:
             kept.append((sorted(keep), ends))
     if not kept:
-        return cls(alphabet, 1, [], 0, [])
+        return _trimmed(cls(alphabet, 1, [], 0, []))
     if whole is not None and len(kept) == 1 and len(kept[0][0]) == n:
-        return whole
+        return _trimmed(whole)
     off = len(kept) - 1  # the roots of union_all come first
     ats = []
     for order, _ends in kept:
@@ -257,7 +319,12 @@ def _trim_union(
             ad = at[d]
             out_edges += [(at[s], lab, ad) for s, lab, _d in into[d]]
         out_terms.extend(at[x] for x in ends)
-    return cls(alphabet, off, out_edges, inits[0] if len(kept) == 1 else 0, out_terms)
+    return _trimmed(cls(alphabet, off, out_edges, inits[0] if len(kept) == 1 else 0, out_terms))
+
+
+def _trimmed(a: A) -> A:
+    a._trimmed = True
+    return a
 
 
 def is_empty_language(a: Nfa) -> bool:

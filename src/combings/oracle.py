@@ -21,6 +21,15 @@ class CapExceeded(RuntimeError):
     """A ball or distance search grew past its element cap."""
 
 
+class LetterError(ValueError):
+    """A letter's value is not the inverse of its inverse letter's; symbol
+    is the one of the two given last."""
+
+    def __init__(self, msg: str, symbol: str):
+        super().__init__(msg)
+        self.symbol = symbol
+
+
 class GroupOracle:
     """Common interface.  A subclass defines four operations,
     identity_element, letter_element, inv_element and mul; the letter
@@ -67,7 +76,8 @@ class GroupOracle:
         """One value per letter: value(symbol, v) for each given symbol, in
         the order given, then the inverse of its inverse letter's value for
         a letter left out.  Raises ValueError for a letter still without a
-        value, or whose value is not the inverse of its inverse letter's."""
+        value, or LetterError for one whose value is not the inverse of its
+        inverse letter's."""
         a = self.alphabet
         vals: list = [None] * len(a)
         for sym, v in given.items():
@@ -81,7 +91,8 @@ class GroupOracle:
                 raise ValueError(f"no {noun} given for letter {a.symbols[i]}")
             j = a.inv[i]
             if vals[i] != self.inv_element(vals[j]):
-                raise ValueError(f"{noun}s of {a.symbols[i]} and {a.symbols[j]} are not {relation}")
+                later = next(s for s in reversed(given) if s in (a.symbols[i], a.symbols[j]))
+                raise LetterError(f"{noun}s of {a.symbols[i]} and {a.symbols[j]} are not {relation}", later)
         return tuple(vals)
 
     def element(self, w: Word) -> Hashable:

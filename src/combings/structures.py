@@ -15,6 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from operator import or_
 from typing import Optional
 
@@ -385,19 +386,14 @@ def core_subgraph(t: Transducer) -> tuple[frozenset[int], frozenset]:
 
     The complement contains no cycles and receives no edges back into the
     core, so every successful path is a core prefix followed by a short
-    acyclic tail.  The complement is peeled off from the vertices without
-    successors: a vertex goes once every edge out of it leads to a peeled
-    vertex, and what is never peeled reaches a cycle.
+    acyclic tail.  The core is what a backward search finds from the
+    components of t's components() that hold a cycle, and it is empty at
+    once when there is none, as in every build over a finite table.
     """
-    out = [len(row) for row in t.adjacency()]
-    back = nfa_mod._arrows(t.n, t.edges, False)
-    peeled = [v for v in range(t.n) if not out[v]]
-    for v in peeled:  # the list grows while it is walked
-        for u in back[v]:
-            out[u] -= 1
-            if not out[u]:
-                peeled.append(u)
-    core = frozenset(range(t.n)).difference(peeled)
+    cyclic = t.components()[1]
+    if not cyclic:
+        return frozenset(), frozenset()
+    core = frozenset(nfa_mod._search(nfa_mod._arrows(t.n, t.edges, False), chain.from_iterable(cyclic)))
     return core, frozenset(e for e in t.edges if e[2] in core)
 
 
@@ -446,60 +442,68 @@ def _tail_classes(t: Transducer, core_v: frozenset[int], core_e, o: GroupOracle)
     classes seen among its ancestors; that still over-approximates (heads
     of merging paths mix), which only enlarges the candidate set.
 
-    The walk's states are (vertex, x-class, y-class).  t⁻¹ is t with the
-    tapes swapped, so its states are t's with the two classes swapped, and
-    one walk of t gives both halves' classes.  The closure's walk has twice
-    as many states, plus its root when the core is empty, and it fails past
+    The walk's states are (vertex, x-class id, y-class id) over a step
+    table, as _pair_product reads its moves: nexts[c][x] is the id of class
+    c times letter x, multiplied once per class and letter on first use,
+    and nexts[c][None] is c.  t⁻¹ is t with the tapes swapped, so its
+    states are t's with the two classes swapped, and one walk of t gives
+    both halves' classes.  The closure's walk has twice as many states,
+    plus its root when the core is empty, and it fails past
     DEFAULT_BALL_CAP of them; the guard counts the same way.
     """
     e0 = o.identity_element()
     root = 0 if core_v else 1  # the closure's walk starts at its root without a core
+    elems = [e0]
+    ids = {e0: 0}
+    nexts: list[dict] = [{None: 0}]
 
-    def apply(lab, q, ex, ey):
-        x, y = lab
-        return (q, ex if x is None else o.mul_right(ex, x), ey if y is None else o.mul_right(ey, y))
+    def to(c: int, x) -> int:
+        if x not in nexts[c]:
+            e = o.mul_right(elems[c], x)
+            if e not in ids:
+                ids[e] = len(elems)
+                elems.append(e)
+                nexts.append({None: ids[e]})
+            nexts[c][x] = ids[e]
+        return nexts[c][x]
 
-    # states (vertex, x-class, y-class), each with its predecessor states
-    pred: dict[tuple, list[tuple]] = {}
-    stack: list[tuple] = []
-
-    def visit(key) -> list[tuple]:
-        if key not in pred:
-            pred[key] = []
-            stack.append(key)
-            if 2 * len(pred) + root > DEFAULT_BALL_CAP:
-                raise RuntimeError(
-                    f"tail search exceeded {DEFAULT_BALL_CAP} states; "
-                    "the off-core part is too wide"
-                )
-        return pred[key]
-
+    # states (vertex, x-class id, y-class id), each with its predecessor states
     if core_v:
-        for s, lab, d in t.edges:
-            if s in core_v and (s, lab, d) not in core_e:
-                visit(apply(lab, d, e0, e0))
+        starts = {(d, to(0, x), to(0, y)) for s, (x, y), d in t.edges if s in core_v and d not in core_v}
     else:
-        visit((t.initial, e0, e0))
+        starts = {(t.initial, 0, 0)}
+    pred: dict[tuple, list[tuple]] = {key: [] for key in starts}
+    stack = list(pred)
     adj = t.adjacency()
     while stack:
+        if 2 * len(pred) + root > DEFAULT_BALL_CAP:
+            raise RuntimeError(
+                f"tail search exceeded {DEFAULT_BALL_CAP} states; the off-core part is too wide"
+            )
         key = stack.pop()
-        v, ex, ey = key
-        for _v, lab, q in adj[v]:
-            visit(apply(lab, q, ex, ey)).append(key)
+        v, cx, cy = key
+        nx, ny = nexts[cx], nexts[cy]
+        for _v, (x, y), q in adj[v]:
+            nxt = (q, nx[x] if x in nx else to(cx, x), ny[y] if y in ny else to(cy, y))
+            if nxt in pred:
+                pred[nxt].append(key)
+            else:
+                pred[nxt] = [key]
+                stack.append(nxt)
 
     classes = {e0}
-    for _v, ex, ey in pred:
-        classes.add(ex)
-        classes.add(ey)
+    for _v, cx, cy in pred:
+        classes.add(elems[cx])
+        classes.add(elems[cy])
     for fkey in pred:
-        fv, fex, fey = fkey
+        fv, fx, fy = fkey
         if fv in t.terminals:
             ancestors = nfa_mod._search(pred, [fkey])
             # t's tail with its y-heads, then t⁻¹'s, whose y-heads are t's x-heads
-            for ex, ey, side in ((fex, fey, 2), (fey, fex, 1)):
-                base = o.mul(ex, o.inv_element(ey))
-                heads = {e0} | {key[side] for key in ancestors}
-                classes.update(o.mul(base, hy) for hy in heads)
+            for ex, ey, side in ((fx, fy, 2), (fy, fx, 1)):
+                base = o.mul(elems[ex], o.inv_element(elems[ey]))
+                heads = {0} | {key[side] for key in ancestors}
+                classes.update(o.mul(base, elems[h]) for h in heads)
     return classes
 
 
@@ -718,7 +722,8 @@ def build_combing(
     t = L ∪ L⁻¹, a root with ε edges to L and to its tape swap.  Every
     stage reads t off the half L = strip(trim(l.t)) instead, since the
     swap has L's graph; t is built only for the upto check, and only when
-    the core has an edge.
+    the core has an edge.  The half is analysed once: the balance check,
+    the core and the tail walk read its cached adjacency() and components().
 
     Stages: trim the language and strip its (ε,ε) cycles; sample the
     members of t to confirm significant letters exist; check that the
@@ -761,8 +766,8 @@ def build_combing(
             "of the alphabet and there is nothing to construct"
         )
     if half is l.t:
-        # the walks below cache adjacency lists on the automaton they read;
-        # a shallow copy keeps them off the caller's
+        # the stages below cache adjacency lists and components on the
+        # automaton they read; a shallow copy keeps them off the caller's
         half = copy.copy(half)
 
     pairs = _closure_pairs(half, SIG_SAMPLE_LEN)

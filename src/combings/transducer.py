@@ -225,73 +225,30 @@ def strip_epsilon_cycles(t: Transducer) -> Transducer:
     """Collapse every cycle of (ε,ε) edges to a single vertex and drop the
     cycle edges.  The set of labels of successful paths is unchanged; the
     merged vertex is initial/terminal if any member was.  Without such a
-    cycle, the result is t itself."""
-    eps = [e for e in t.edges if e[1] == t.EPS]
-    comp = _scc(t.n, nfa_mod._arrows(t.n, eps, True))
-    if len(set(comp)) == t.n and not any(s == d for s, _lab, d in eps):
+    cycle, the result is t itself.  Tarjan runs over the (ε,ε) edges alone,
+    from the vertices that have one."""
+    eps: list[list[TEdge]] = [[] for _ in range(t.n)]
+    for e in t.edges:
+        if e[1] == t.EPS:
+            eps[e[0]].append(e)
+    _comp, cyclic = nfa_mod._tarjan(t.n, eps, [v for v in range(t.n) if eps[v]])
+    if not cyclic:
         return t
     # component representative = min old id, for determinism
-    rep_of_comp: dict[int, int] = {}
-    for v in range(t.n):
-        c = comp[v]
-        rep_of_comp[c] = min(rep_of_comp.get(c, v), v)
-    rep = [rep_of_comp[comp[v]] for v in range(t.n)]
+    rep = list(range(t.n))
+    for members in cyclic:
+        least = min(members)
+        for v in members:
+            rep[v] = least
     order = sorted(set(rep))
     remap = {old: new for new, old in enumerate(order)}
     edges: set[TEdge] = set()
     for s, lab, d in t.edges:
-        if lab == t.EPS and comp[s] == comp[d]:
+        if lab == t.EPS and rep[s] == rep[d]:
             continue  # an (ε,ε) edge inside a component lies on an (ε,ε) cycle
         edges.add((remap[rep[s]], lab, remap[rep[d]]))
     terms = {remap[rep[x]] for x in t.terminals}
     return Transducer(t.alphabet, len(order), edges, remap[rep[t.initial]], terms)
-
-
-def _scc(n: int, adj: list[list[int]]) -> list[int]:
-    """Tarjan, iterative.  Returns a component index per vertex."""
-    index = [-1] * n
-    low = [0] * n
-    onstack = [False] * n
-    stack: list[int] = []
-    comp = [-1] * n
-    counter = 0
-    ncomp = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                onstack[v] = True
-            advanced = False
-            for i in range(pi, len(adj[v])):
-                w = adj[v][i]
-                if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if onstack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-    return comp
 
 
 def _weight(lab: Label) -> int:
@@ -300,26 +257,25 @@ def _weight(lab: Label) -> int:
 
 
 def _balance_potentials(t: Transducer):
-    """Per-SCC potentials for the tape-length imbalance, or None if some
-    cycle is unbalanced.  A breadth-first search from the least vertex of a
-    component, along its inner edges, follows every inner edge once, so
-    checking each edge as it is followed checks every cycle."""
-    comp = _scc(t.n, nfa_mod._arrows(t.n, t.edges, True))
+    """Potentials for the tape-length imbalance inside each component that
+    holds a cycle, 0 elsewhere, with t's components(); or None for the
+    potentials if some cycle is unbalanced.  A breadth-first search from
+    the least vertex of such a component, along its inner edges, follows
+    every inner edge once, so checking each edge as it is followed checks
+    every cycle; a component without a cycle has no inner edge to check."""
+    comp, cyclic = t.components()
     adj = t.adjacency()
     phi = [0] * t.n
-    seen = [False] * t.n
-    for root in range(t.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
+    for members in cyclic:
+        root = min(members)
+        seen = {root}
+        queue = [root]
+        for v in queue:  # the list grows while it is walked
             for _v, lab, d in adj[v]:
                 if comp[d] != comp[v]:
                     continue
-                if not seen[d]:
-                    seen[d] = True
+                if d not in seen:
+                    seen.add(d)
                     phi[d] = phi[v] + _weight(lab)
                     queue.append(d)
                 elif phi[d] != phi[v] + _weight(lab):
@@ -348,10 +304,9 @@ def synchronized_bound(t: Transducer) -> Optional[int]:
     hi: list[Optional[int]] = [None] * t.n
     lo[t.initial] = hi[t.initial] = 0
 
-    # Propagate over SCCs in topological order; inside an SCC the imbalance
-    # between two vertices is the fixed potential difference.  Tarjan emits
-    # components in reverse topological order, so descending index is
-    # sources-first.
+    # Propagate over the components in topological order, which is
+    # descending component number; inside a component the imbalance
+    # between two vertices is the fixed potential difference.
     members: dict[int, list[int]] = {}
     for v in range(t.n):
         members.setdefault(comp[v], []).append(v)

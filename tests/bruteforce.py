@@ -398,6 +398,44 @@ def strip_epsilon_cycles_fresh(t):
     return Transducer(t.alphabet, len(order), edges, remap[rep[t.initial]], terms)
 
 
+def _imbalance(lab):
+    return (lab[0] is not None) - (lab[1] is not None)
+
+
+def balanced_by_walks(t):
+    """check_balanced_cycles by its definition: no closed walk reads tapes
+    of different lengths.  A closed walk splits into simple cycles of at
+    most t.n edges each, so the closed walks of at most t.n edges decide."""
+    for v in range(t.n):
+        level = {(v, 0)}
+        for _ in range(t.n):
+            level = {(d, w + _imbalance(lab)) for u, w in level for s, lab, d in t.edges if s == u}
+            if any(u == v and w for u, w in level):
+                return False
+    return True
+
+
+def synchronized_bound_by_walks(t):
+    """synchronized_bound by its definition, over the walks of trim_fresh(t)
+    from its initial vertex, as states (vertex, imbalance so far): the
+    largest |imbalance| at a terminal, 0 without one, or None once a walk
+    reaches an imbalance of n, the trim's size.  With every cycle balanced
+    an imbalance is that of a simple path, below n; an unbalanced cycle
+    lies on an accepted path and pumps it past any bound."""
+    s = trim_fresh(t)
+    seen = {(s.initial, 0)}
+    stack = list(seen)
+    while stack:
+        u, w = stack.pop()
+        if abs(w) >= s.n:
+            return None
+        for a, lab, d in s.edges:
+            if a == u and (d, w + _imbalance(lab)) not in seen:
+                seen.add((d, w + _imbalance(lab)))
+                stack.append((d, w + _imbalance(lab)))
+    return max((abs(w) for u, w in seen if u in s.terminals), default=0)
+
+
 def rectangle_product_unpruned(t, r, mode):
     """The shared rectangle product of intersect_regular for a trimmed r,
     built in full with _product_side and then cut to the states that reach

@@ -163,6 +163,16 @@ LINE_FAULTS = [
     pytest.param(FINITE_2 + "letter a 5\n" + Z2_TABLE, 5, "letter a maps to 5, out of range", id="letter-image"),
     pytest.param(FINITE_2 + "letter a 1\nletter a 0\n" + Z2_TABLE, 6, "letter a given twice", id="letter-twice"),
     pytest.param(ABELIAN_1 + "weight a 1\nweight a 2\n", 6, "weight a given twice", id="weight-twice"),
+    # a fault between two letters lies at the later of their lines
+    pytest.param(
+        FINITE_2 + "letter a 1\nletter A 0\n" + Z2_TABLE, 6, "images of a and A are not mutually inverse", id="letter-pair"
+    ),
+    pytest.param(
+        "alphabet a A b B\ninverse a A\ninverse b B\noracle abelian\nrank 1\nweight a 1\nweight A 1\nweight b 0\n",
+        7,
+        "weights of a and A are not negatives of each other",
+        id="weight-pair",
+    ),
 ]
 
 

@@ -423,6 +423,36 @@ def test_build_leaves_no_adjacency_on_its_input():
     assert td.strip_epsilon_cycles(td.trim(gens.t)) is gens.t
     st.build_combing(gens, o)
     assert gens.t._adj is None
+    assert gens.t._comp is None
+
+
+def _record_products(monkeypatch, o) -> list:
+    """The (element, letter) of every mul_right that o makes from now on."""
+    products = []
+    mul_right = o.mul_right
+
+    def recorded(e, letter):
+        products.append((e, letter))
+        return mul_right(e, letter)
+
+    monkeypatch.setattr(o, "mul_right", recorded)
+    return products
+
+
+def test_tail_walk_multiplies_once_per_class_and_letter(monkeypatch):
+    """The tail walk reads its letter products off a step table filled on
+    first use, so it makes at most one mul_right per class and letter: 19
+    on the S₃ extract, whose core is empty, where a product on every edge
+    walked made 173, and 1 on the README's ℤ generators, whose tails leave
+    a core."""
+    gens, s3 = s3_extract()
+    z = AbelianOracle(AB2, 1, {"a": [1], "b": [0]})
+    for t, o, want in ((gens.t, s3, 19), (z_generators().t, z, 1)):
+        half = td.strip_epsilon_cycles(td.trim(t))
+        core_v, core_e = st.core_subgraph(half)
+        products = _record_products(monkeypatch, o)
+        st._tail_classes(half, core_v, core_e, o)
+        assert len(products) == len(set(products)) == want
 
 
 def test_z2_extract_same_in_every_process():

@@ -1,6 +1,5 @@
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -8,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import combings
-from combings import Alphabet, Nfa, Transducer, Word
+from combings import Alphabet, Nfa, Transducer, Word, core_subgraph
 from combings import linear as lin
 from combings import nfa as nfa_mod
 from combings import transducer as td
 from bruteforce import (
+    balanced_by_walks,
     concat_sets,
+    core_by_reach,
     coreachable_pairs_bf,
     lang_of_nfa,
     pairs_of_transducer,
@@ -21,6 +22,7 @@ from bruteforce import (
     random_transducer,
     random_word,
     strip_epsilon_cycles_fresh,
+    synchronized_bound_by_walks,
     trim_fresh,
     trim_union_fresh,
     union_fold,
@@ -282,14 +284,9 @@ def test_strip_epsilon_cycles(rng, ab2):
         t = random_transducer(rng, ab2, eps_frac=0.45)
         s = td.strip_epsilon_cycles(t)
         assert pairs_of_transducer(s, 4) == pairs_of_transducer(t, 4)
-        eps_adj = [[] for _ in range(s.n)]
-        for p, (x, y), q in s.edges:
-            if x is None and y is None:
-                eps_adj[p].append(q)
-        comp = td._scc(s.n, eps_adj)
-        sizes = Counter(comp)
-        assert all(sizes[comp[p]] == 1 for p in range(s.n))
-        assert all(q not in eps_adj[q] for q in range(s.n))
+        # no (ε,ε) cycle is left, so stripping by the definition changes nothing
+        again = strip_epsilon_cycles_fresh(s)
+        assert (again.n, again.edges, again.initial, again.terminals) == (s.n, s.edges, s.initial, s.terminals)
 
 
 def test_synchronized_bound_unbounded(ab2):
@@ -368,6 +365,74 @@ def test_synchronized_bound_matches_brute_force(t):
     pairs = pairs_of_transducer(t, 2 * (2 * (n - 1) + (3 * n - 2) * n))
     worst = max((abs(len(u) - len(v)) for u, v in pairs), default=0)
     assert td.synchronized_bound(t) == (None if worst >= n else worst)
+
+
+CYCLE_LABELS = [(None, None), (0, None), (None, 1), (0, 1), (2, 3)]
+
+
+@hst.composite
+def _shaped_transducers(draw):
+    """Up to five states over two letter pairs, in one of five shapes:
+    acyclic (edges only to higher states); with a ring of (ε,ε) edges, a
+    pure (ε,ε) cycle; with an ε and a letter self-loop; with a ring of
+    (a, ε) edges, an unbalanced cycle; or any edges.  A ring of one state
+    is a self-loop."""
+    n = draw(hst.integers(1, 5))
+    state = hst.integers(0, n - 1)
+    shape = draw(hst.sampled_from(["acyclic", "eps-ring", "self-loops", "unbalanced-ring", "any"]))
+    edges = draw(hst.lists(hst.tuples(state, hst.sampled_from(CYCLE_LABELS), state), max_size=2 * n + 2))
+    if shape == "acyclic":
+        edges = [(s, lab, d) for s, lab, d in edges if s < d]
+    ring = draw(hst.lists(state, min_size=1, max_size=n, unique=True))
+    ring_edges = list(zip(ring, ring[1:] + ring[:1]))
+    if shape == "eps-ring":
+        edges += [(p, (None, None), q) for p, q in ring_edges]
+    elif shape == "unbalanced-ring":
+        edges += [(p, (0, None), q) for p, q in ring_edges]
+    elif shape == "self-loops":
+        letter_loop = draw(hst.sampled_from(CYCLE_LABELS[1:]))
+        edges += [(ring[0], (None, None), ring[0]), (ring[-1], letter_loop, ring[-1])]
+    return Transducer(AB2, n, edges, draw(state), draw(hst.sets(state, max_size=n)))
+
+
+def _parts(a):
+    return a.n, a.edges, a.initial, a.terminals
+
+
+def _check_cycle_analysis(op, x):
+    if op == "strip":
+        assert _parts(td.strip_epsilon_cycles(x)) == _parts(strip_epsilon_cycles_fresh(x))
+    elif op == "balanced":
+        assert td.check_balanced_cycles(x) == balanced_by_walks(x)
+    elif op == "core":
+        core_v, core_e = core_by_reach(x)
+        assert core_subgraph(x) == (frozenset(core_v), frozenset(core_e))
+    else:
+        assert td.synchronized_bound(x) == synchronized_bound_by_walks(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shaped_transducers(), hst.permutations(["strip", "balanced", "core", "bound"]), hst.data())
+def test_cycle_analyses_match_their_definitions(t, order, data):
+    """strip_epsilon_cycles, check_balanced_cycles, core_subgraph and
+    synchronized_bound against their definitions, called in a drawn order
+    on one automaton at a time, so that a cached adjacency() or
+    components() left stale by one of them would show in the next: on the
+    drawn transducer, its trim and then the trim's strip, made after the
+    trim's analyses.  Every automaton _trim_union builds is trimmed, and
+    trim returns it as it is."""
+    trimmed = td.trim(t)
+    for x in (t, trimmed):
+        for op in order:
+            _check_cycle_analysis(op, x)
+    stripped = td.strip_epsilon_cycles(trimmed)  # after the trim's analyses
+    for op in order:
+        _check_cycle_analysis(op, stripped)
+    state = hst.integers(0, t.n - 1)
+    sets = data.draw(hst.lists(hst.lists(state, max_size=3), max_size=3))
+    for u in (trimmed, nfa_mod._trim_union(Transducer, AB2, t.n, t.edges, t.initial, sets)):
+        assert td.trim(u) is u
+        assert _parts(u) == _parts(trim_fresh(u))
 
 
 def test_enumerate_pairs(rng, ab2):
