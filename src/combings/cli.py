@@ -313,8 +313,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, FileNotFoundError, UsageError) as e:
-        # ahead of ValueError, which FormatError and UsageError subclass
+    except (FormatError, OSError, UsageError) as e:
+        # ahead of ValueError, which FormatError and UsageError subclass;
+        # OSError covers a missing file and a directory given as a file
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as e:

@@ -231,8 +231,16 @@ def parse(text: str) -> Parsed:
 
 
 def parse_file(path) -> Parsed:
-    with open(path, encoding="utf-8") as f:
-        return parse(f.read())
+    """parse of the file's text.  A file that is not UTF-8 is a FormatError
+    at the line of its first undecodable byte."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        lineno = len((data[: e.start].decode("utf-8") + "x").splitlines())
+        raise FormatError(lineno, f"byte {data[e.start]:#04x} is not UTF-8 text") from None
+    return parse(text)
 
 
 def _alphabet_lines(alphabet: Alphabet) -> list[str]:

@@ -54,42 +54,53 @@ def intersect_regular(l: LinearLanguage, r: Nfa) -> LinearLanguage:
     those terminals, found as one bit set of r'-states per (t-state,
     r-state) pair (see _rectangle_product); every state a trim keeps is
     among them, in the same relative order, so the trims number it alike.
-    The product is never built as a transducer: the rectangles are trimmed
-    and united straight from its explored edges (nfa._trim_union).
+    Only the answer is built as a transducer: each product hands the next
+    stage its rows, and the rectangles are trimmed and united straight from
+    the last one's explored edges (nfa._trim_union).  _intersect is this
+    construction on a transducer graph that is not built as an automaton.
     """
     if l.t.alphabet != r.alphabet:
         raise ValueError("different alphabets")
+    t = l.t
+    return LinearLanguage(_intersect(t.adjacency(), t.initial, t.terminals, r, l.mode), l.mode)
+
+
+def _intersect(rows, initial: int, terminals, r: Nfa, mode: str) -> Transducer:
+    """The transducer of intersect_regular for the transducer graph given by
+    its adjacency() rows, initial vertex and terminals, over r's alphabet."""
     r = nfa_mod.trim(r)
-    keys, edges, split_at = _rectangle_product(l.t, r, l.mode)
+    keys, edges, split_at = _rectangle_product(rows, initial, terminals, r, mode)
     term_sets: list[list[int]] = [[] for _ in range(r.n)]
     for i, (f, q) in enumerate(keys):
         if split_at[f] == q:
             term_sets[q].append(i)
-    t = nfa_mod._trim_union(Transducer, r.alphabet, len(keys), edges, 0, term_sets, explored=True)
-    return LinearLanguage(t, l.mode)
+    graph = nfa_mod._trim_union(Transducer, len(keys), edges, 0, term_sets, explored=True)
+    return nfa_mod._built(Transducer, r.alphabet, graph)
 
 
 def _rectangle_product(
-    t: Transducer, r: Nfa, mode: str
+    rows, initial: int, terminals, r: Nfa, mode: str
 ) -> tuple[list[tuple[int, int]], list[TEdge], list[Optional[int]]]:
-    """The product of intersect_regular for a trimmed r, as the keys
-    (first-product state, r'-state) and edges _explore_side returns, vertex
-    0 initial, and, per first-product state, the r-state p it splits at
-    when its t-state is terminal (else None).
+    """The product of intersect_regular for a trimmed r and a transducer
+    graph given by its adjacency() rows, initial vertex and terminals, as
+    the keys (first-product state, r'-state) and edges _explore_side
+    returns, vertex 0 initial, and, per first-product state, the r-state p
+    it splits at when its t-state is terminal (else None).
 
-    The first product restricts tape 0 to r.  The second restricts tape 1
-    of it to r' and is explored only on the pairs from which a rectangle
-    terminal (f, p) with split_at[f] == p can be reached, plus the initial
-    pair.  A backward worklist over the first product's in-edges finds
-    them as one bit set of r'-states per first-product state; since every
-    predecessor of such a pair is one too, the forward search still meets
-    them in the order the full product would number them."""
+    The first product restricts tape 0 to r (td._first_side).  The second
+    restricts tape 1 of it to r' and is explored only on the pairs from
+    which a rectangle terminal (f, p) with split_at[f] == p can be reached,
+    plus the initial pair.  A backward worklist over the first product's
+    in-edges finds them as one bit set of r'-states per first-product
+    state; since every predecessor of such a pair is one too, the forward
+    search still meets them in the order the full product would number
+    them."""
     y_side = nfa_mod.inverse_lang(r) if mode == "inverse" else nfa_mod.reverse(r)
-    first, first_keys = td._product_side(t, r, 0)
-    split_at = [q if p in t.terminals else None for p, q in first_keys]
+    first_keys, first = td._first_side(rows, initial, r)
+    split_at = [q if p in terminals else None for p, q in first_keys]
     targets = [(f, q) for f, q in enumerate(split_at) if q is not None]
     live = td._coreachable_masks(first, y_side, 1, targets)
-    keys, edges = td._explore_side(first, y_side, 1, live)
+    keys, edges = td._explore_side(first, 0, y_side, 1, live)
     return keys, edges, split_at
 
 

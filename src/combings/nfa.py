@@ -61,7 +61,7 @@ class Automaton:
         self.initial = initial
         self.terminals: frozenset[int] = frozenset(terminals)
         self._adj = self._comp = None
-        self._trimmed = False  # set by _trim_union on what it builds
+        self._trimmed = False  # set by trim and _built
         if not 0 <= initial < n:
             raise ValueError(f"initial vertex {initial} out of range")
         for t in self.terminals:
@@ -79,14 +79,7 @@ class Automaton:
         """Row v: v's own edge triples (v, label, target) by label_key, then
         target: the one out-edge order, the same in every process.  Cached."""
         if self._adj is None:
-            by_label: dict[Hashable, list] = {}
-            for e in self.edges:
-                by_label.setdefault(e[1], []).append(e)
-            adj: list[list[tuple[int, Hashable, int]]] = [[] for _ in range(self.n)]
-            for lab in sorted(by_label, key=self.label_key):
-                for e in sorted(by_label[lab], key=itemgetter(2)):
-                    adj[e[0]].append(e)
-            self._adj = adj
+            self._adj = _adjacency(self.n, self.edges, self.label_key)
         return self._adj
 
     def components(self) -> tuple[list[int], list[list[int]]]:
@@ -162,6 +155,20 @@ def accepts(a: Nfa, w: Word) -> bool:
         if not cur:
             return False
     return bool(cur & a.terminals)
+
+
+def _adjacency(n: int, edges: Iterable[tuple], label_key) -> list[list[tuple]]:
+    """Automaton.adjacency() of a graph that is not built as an automaton:
+    the edges grouped by label, each group sorted by target, then dealt to
+    their source rows in label_key order."""
+    by_label: dict[Hashable, list] = {}
+    for e in edges:
+        by_label.setdefault(e[1], []).append(e)
+    rows: list[list[tuple]] = [[] for _ in range(n)]
+    for lab in sorted(by_label, key=label_key):
+        for e in sorted(by_label[lab], key=itemgetter(2)):
+            rows[e[0]].append(e)
+    return rows
 
 
 def _arrows(n: int, edges: Iterable[tuple], forward: bool) -> list[list[int]]:
@@ -244,13 +251,14 @@ def _explore(start, moves) -> tuple[list, list[tuple]]:
     ids = {start: 0}
     keys = [start]
     edges: list[tuple] = []
+    find, add = ids.get, edges.append  # once per edge: bound once
     for i, key in enumerate(keys):  # the list grows while it is walked
         for lab, nxt in moves(key):
-            j = ids.get(nxt)
+            j = find(nxt)
             if j is None:
                 j = ids[nxt] = len(keys)
                 keys.append(nxt)
-            edges.append((i, lab, j))
+            add((i, lab, j))
     return keys, edges
 
 
@@ -262,37 +270,43 @@ def trim(a: A) -> A:
     kept, the result is a itself, and so is an automaton built trimmed."""
     if a._trimmed:
         return a
-    return _trim_union(type(a), a.alphabet, a.n, a.edges, a.initial, [a.terminals], whole=a)
+    graph = _trim_union(type(a), a.n, a.edges, a.initial, [a.terminals])
+    n, _edges, _initial, terms = graph
+    if terms and n == a.n:  # one piece holding every vertex: nothing is cut
+        return _trimmed(a)
+    return _built(type(a), a.alphabet, graph)
 
 
 def _trim_union(
     cls: type[A],
-    alphabet: Alphabet,
     n: int,
     edges: Iterable[tuple],
     initial: int,
     term_sets: Iterable[Collection[int]],
     explored: bool = False,
-    whole: Optional[A] = None,
-) -> A:
+) -> tuple[int, list[tuple], int, list[int]]:
     """union_all of the trims of the graph (n, edges, initial) to each
-    terminal set, leaving out those with empty language: the one nonempty
-    trim itself, without a root, when there is one (`whole` if given and
-    nothing is cut), and the trim of empty language, a lone initial vertex
-    with no terminals, when there is none.  The trims are never built: a
-    backward search over the in-edges of reachable vertices finds the
-    vertices a trim keeps, and their in-edges are its edges, so the work
-    per trim is proportional to the trim.  An explored graph, every vertex
-    of which is reachable, needs no forward search.  The result is marked
-    trimmed."""
-    reached = None if explored else _search(_arrows(n, edges, True), [initial])
+    terminal set, leaving out those with empty language, as the graph
+    (n, edges, initial, terminals) of the automaton of cls it would be: the
+    one nonempty trim itself, without a root, when there is one, and the
+    trim of empty language, a lone initial vertex with no terminals, when
+    there is none.  The trims are never built: a backward search over the
+    in-edges of reachable vertices finds the vertices a trim keeps, and
+    their in-edges are its edges, so the work per trim is proportional to
+    the trim.  An explored graph, every vertex of which is reachable, needs
+    no forward search.  Past the roots' ε edges, the edges come in order of
+    their targets, so _adjacency sorts each label's group in one pass.
+    _built makes the automaton; a stage that only reads the graph takes
+    its _adjacency rows instead."""
+    if not explored:
+        reached = _search(_arrows(n, edges, True), [initial])
+        edges = [e for e in edges if e[0] in reached]
+        term_sets = [[x for x in terms if x in reached] for terms in term_sets]
     into: list[list[tuple]] = [[] for _ in range(n)]
     for e in edges:
-        if reached is None or e[0] in reached:
-            into[e[2]].append(e)
+        into[e[2]].append(e)
     kept = []
-    for terms in term_sets:
-        ends = [x for x in terms if reached is None or x in reached]
+    for ends in term_sets:
         keep = set(ends)
         stack = list(keep)
         while stack:
@@ -303,9 +317,9 @@ def _trim_union(
         if ends:
             kept.append((sorted(keep), ends))
     if not kept:
-        return _trimmed(cls(alphabet, 1, [], 0, []))
-    if whole is not None and len(kept) == 1 and len(kept[0][0]) == n:
-        return _trimmed(whole)
+        return 1, [], 0, []
+    if len(kept) == 1 and len(kept[0][0]) == n:  # nothing is cut: the ids stay
+        return n, list(chain.from_iterable(into)), initial, kept[0][1]
     off = len(kept) - 1  # the roots of union_all come first
     ats = []
     for order, _ends in kept:
@@ -319,7 +333,13 @@ def _trim_union(
             ad = at[d]
             out_edges += [(at[s], lab, ad) for s, lab, _d in into[d]]
         out_terms.extend(at[x] for x in ends)
-    return _trimmed(cls(alphabet, off, out_edges, inits[0] if len(kept) == 1 else 0, out_terms))
+    return off, out_edges, inits[0] if len(kept) == 1 else 0, out_terms
+
+
+def _built(cls: type[A], alphabet: Alphabet, graph: tuple) -> A:
+    """The automaton of cls over alphabet of a graph _trim_union returns,
+    marked trimmed."""
+    return _trimmed(cls(alphabet, *graph))
 
 
 def _trimmed(a: A) -> A:

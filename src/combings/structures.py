@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import nfa as nfa_mod
 from . import transducer as td
-from .linear import LinearLanguage, intersect_regular, invert_linear
+from .linear import LinearLanguage, _intersect, invert_linear
 from .nfa import Nfa
 from .oracle import DEFAULT_BALL_CAP, CayleyBall, GroupOracle, ball, ft_distance
 from .transducer import Transducer
@@ -467,43 +467,67 @@ def _tail_classes(t: Transducer, core_v: frozenset[int], core_e, o: GroupOracle)
             nexts[c][x] = ids[e]
         return nexts[c][x]
 
-    # states (vertex, x-class id, y-class id), each with its predecessor states
+    # states (vertex, x-class id, y-class id), numbered as found, each with
+    # the numbers of its successor states and its count of in-edges
     if core_v:
         starts = {(d, to(0, x), to(0, y)) for s, (x, y), d in t.edges if s in core_v and d not in core_v}
     else:
         starts = {(t.initial, 0, 0)}
-    pred: dict[tuple, list[tuple]] = {key: [] for key in starts}
-    stack = list(pred)
+    keys = list(starts)
+    number = {key: i for i, key in enumerate(keys)}
+    succ: list[list[int]] = [[] for _ in keys]
+    indegree = [0] * len(keys)
+    stack = list(range(len(keys)))
     adj = t.adjacency()
     while stack:
-        if 2 * len(pred) + root > DEFAULT_BALL_CAP:
+        if 2 * len(keys) + root > DEFAULT_BALL_CAP:
             raise RuntimeError(
                 f"tail search exceeded {DEFAULT_BALL_CAP} states; the off-core part is too wide"
             )
-        key = stack.pop()
-        v, cx, cy = key
-        nx, ny = nexts[cx], nexts[cy]
+        i = stack.pop()
+        v, cx, cy = keys[i]
+        nx, ny, out = nexts[cx], nexts[cy], succ[i]
         for _v, (x, y), q in adj[v]:
             nxt = (q, nx[x] if x in nx else to(cx, x), ny[y] if y in ny else to(cy, y))
-            if nxt in pred:
-                pred[nxt].append(key)
-            else:
-                pred[nxt] = [key]
-                stack.append(nxt)
+            j = number.get(nxt)
+            if j is None:
+                j = number[nxt] = len(keys)
+                keys.append(nxt)
+                succ.append([])
+                indegree.append(0)
+                stack.append(j)
+            indegree[j] += 1
+            out.append(j)
+
+    # The x- and y-head classes on the way to each state, its own among
+    # them, as bit sets of class ids, propagated in one pass over the
+    # states in topological order: off the core there is no cycle.
+    xheads = [1 << cx for _v, cx, _cy in keys]
+    yheads = [1 << cy for _v, _cx, cy in keys]
+    order = [i for i, d in enumerate(indegree) if not d]
+    for i in order:  # the list grows while it is walked
+        hx, hy = xheads[i], yheads[i]
+        for j in succ[i]:
+            xheads[j] |= hx
+            yheads[j] |= hy
+            indegree[j] -= 1
+            if not indegree[j]:
+                order.append(j)
 
     classes = {e0}
-    for _v, cx, cy in pred:
+    for _v, cx, cy in keys:
         classes.add(elems[cx])
         classes.add(elems[cy])
-    for fkey in pred:
-        fv, fx, fy = fkey
+    for i, (fv, fx, fy) in enumerate(keys):
         if fv in t.terminals:
-            ancestors = nfa_mod._search(pred, [fkey])
             # t's tail with its y-heads, then t⁻¹'s, whose y-heads are t's x-heads
-            for ex, ey, side in ((fx, fy, 2), (fy, fx, 1)):
+            for ex, ey, heads in ((fx, fy, yheads[i]), (fy, fx, xheads[i])):
                 base = o.mul(elems[ex], o.inv_element(elems[ey]))
-                heads = {0} | {key[side] for key in ancestors}
-                classes.update(o.mul(base, elems[h]) for h in heads)
+                heads |= 1  # the identity, class 0
+                while heads:
+                    low = heads & -heads
+                    classes.add(o.mul(base, elems[low.bit_length() - 1]))
+                    heads ^= low
     return classes
 
 
@@ -514,40 +538,53 @@ def _pair_product(c: Nfa, o: GroupOracle, bl: CayleyBall):
     """Reachable product of a word automaton without ε edges with itself
     and a Cayley-ball tracker: states (p, q, h) with h the class of u^-1·v
     for the prefixes u and v read so far.  Returns the state list and the
-    edges over it, vertex 0 initial, as _explore does.  Each move x^-1·h·y
-    is read off a row built the first time the walk reaches h, mapping each
-    letter x of c or ε, then each letter y of c or ε, to the ball id of
-    x^-1·h·y, None outside the ball; x^-1·h itself may lie outside."""
+    edges over it, vertex 0 initial, as _explore does.  The walk keys a
+    state by the int (p·|C| + q)·|ball| + (ball id of h), over moves read
+    once per state of C.  Each move x^-1·h·y is read off a row built the
+    first time the walk reaches h, mapping each letter x of c or ε, then
+    each letter y of c or ε with x^-1·h·y in the ball, to the label (x, y),
+    one tuple shared by every edge, and the ball id of x^-1·h·y; x^-1·h
+    itself may lie outside the ball."""
     inv = c.alphabet.inv
     adj = c.adjacency()
     elems = list(bl.dist)
+    nb, nc = len(elems), c.n
     ids = {e: i for i, e in enumerate(elems)}
     xs = [None, *{e[1] for e in c.edges}]
-    rows: list[Optional[dict]] = [None] * len(elems)
+    labels = {(x, y): (x, y) for x in xs for y in xs}  # one tuple per label
+    rows: list[Optional[dict]] = [None] * nb
 
     def row(h: int) -> dict:
         out = rows[h] = {}
         for x in xs:
             e = elems[h] if x is None else o.mul_left(inv[x], elems[h])
-            # every move reads a letter
-            out[x] = {y: ids.get(e if y is None else o.mul_right(e, y)) for y in (xs[1:] if x is None else xs)}
+            out[x] = ends = {}
+            for y in xs[1:] if x is None else xs:  # every move reads a letter
+                h2 = ids.get(e if y is None else o.mul_right(e, y))
+                if h2 is not None:
+                    ends[y] = labels[x, y], h2
         return out
+
+    # per state of C: its letter moves, then staying put, as (letter, the
+    # target's share of a key) on the first tape and on the second
+    xmoves = [[(x, p2 * nc * nb) for _p, x, p2 in adj[p]] + [(None, p * nc * nb)] for p in range(nc)]
+    ymoves = [[(y, q2 * nb) for _q, y, q2 in adj[q]] + [(None, q * nb)] for q in range(nc)]
 
     def moves(key):
-        p, q, h = key
+        pq, h = divmod(key, nb)
         steps = rows[h] or row(h)
-        moves2 = adj[q] + [(q, None, q)]
+        ys = ymoves[pq % nc]
         out = []
-        for _p, x, p2 in adj[p] + [(p, None, p)]:
+        for x, pbase in xmoves[pq // nc]:
             ends = steps[x]
-            for _q, y, q2 in moves2:
-                h2 = ends.get(y)
-                if h2 is not None:
-                    out.append(((x, y), (p2, q2, h2)))
+            for y, qbase in ys:
+                move = ends.get(y)
+                if move is not None:
+                    out.append((move[0], pbase + qbase + move[1]))
         return out
 
-    keys, edges = nfa_mod._explore((c.initial, c.initial, ids[o.identity_element()]), moves)
-    return [(p, q, elems[h]) for p, q, h in keys], edges
+    keys, edges = nfa_mod._explore((c.initial * nc + c.initial) * nb + ids[o.identity_element()], moves)
+    return [(key // nb // nc, key // nb % nc, elems[key % nb]) for key in keys], edges
 
 
 @_cyclic_gc_paused()
@@ -558,15 +595,17 @@ def extract_generators(c: Nfa, o: GroupOracle, ft_bound: int) -> LinearLanguage:
     Built per letter a as the C × C pair product over the radius-ft_bound
     Cayley ball, accepting at terminal × terminal × (class of a), with the
     pair (a, ε) appended; the union over letters is intersected with the
-    nonempty freely reduced words.  The product is explored once and never
-    built as a transducer: each letter's tail, an (ε,ε) edge from each of
-    its terminals to a fresh vertex and an (a, ε) edge on to another, is
-    added to the explored edges, and nfa._trim_union trims the result to
-    each tail's last vertex and unites the pieces in one pass.  Complete
-    for pairs that asynchronously fellow-travel within ft_bound; garbage
-    in, garbage out when c is not actually a combing.  An oracle over
-    another alphabet than c's is refused before anything is built.  The
-    cyclic garbage collector is paused while it runs (_cyclic_gc_paused).
+    nonempty freely reduced words.  One chain of explored graphs builds
+    only the transducer it returns: each letter's tail, an (ε,ε) edge from
+    each of its terminals to a fresh vertex and an (a, ε) edge on to
+    another, is added to the pair product's explored edges;
+    nfa._trim_union trims the result to each tail's last vertex and unites
+    the pieces in one pass; and the rows of that union go straight into
+    intersect_regular's products (linear._intersect).  Complete for pairs
+    that asynchronously fellow-travel within ft_bound; garbage in, garbage
+    out when c is not actually a combing.  An oracle over another alphabet
+    than c's is refused before anything is built.  The cyclic garbage
+    collector is paused while it runs (_cyclic_gc_paused).
     """
     if c.alphabet != o.alphabet:
         raise ValueError("the combing and the oracle are over different alphabets")
@@ -575,25 +614,24 @@ def extract_generators(c: Nfa, o: GroupOracle, ft_bound: int) -> LinearLanguage:
     statelist, edges = _pair_product(c, o, bl)
     alphabet = c.alphabet
     n = len(statelist)
+    ends: dict = {}  # class -> the states pairing two terminals of C at it
+    for i, (p, q, h) in enumerate(statelist):
+        if p in c.terminals and q in c.terminals:
+            ends.setdefault(h, []).append(i)
     term_sets = []
     for a in range(len(alphabet)):
-        ea = o.letter_element(a)
-        if ea not in bl.dist:
-            continue
-        terms = [
-            i
-            for i, (p, q, h) in enumerate(statelist)
-            if h == ea and p in c.terminals and q in c.terminals
-        ]
+        terms = ends.get(o.letter_element(a))
         if terms:
             edges.extend((i, (None, None), n) for i in terms)
             edges.append((n, (a, None), n + 1))
             term_sets.append([n + 1])
             n += 2
-    u = nfa_mod._trim_union(Transducer, alphabet, n, edges, 0, term_sets, explored=True)
-    del statelist, edges  # free the product before the rectangle product peaks
+    n, edges, initial, terms = nfa_mod._trim_union(Transducer, n, edges, 0, term_sets, explored=True)
+    del statelist  # free the product before the rectangle product peaks
+    rows = nfa_mod._adjacency(n, edges, Transducer.label_key)
+    del edges
     reduced = nfa_mod.freely_reduced_lang(alphabet, include_empty=False)
-    return intersect_regular(LinearLanguage(u, "inverse"), reduced)
+    return LinearLanguage(_intersect(rows, initial, terms, reduced, "inverse"), "inverse")
 
 
 # --------------------------------------------------------------- construction
@@ -857,7 +895,7 @@ def build_combing(
             dmask = sum(bit.get(h, 0) for h in dset)
             terms = [j for j, m in masks.items() if not m & dmask]
             # every vertex of the shared product is reachable
-            cx = nfa_mod._trim_union(Nfa, alphabet, n, edges, 0, [terms], explored=True)
+            cx = nfa_mod._built(Nfa, alphabet, nfa_mod._trim_union(Nfa, n, edges, 0, [terms], explored=True))
         else:
             cx = c0  # minimal, so trimmed
         if cx.terminals:

@@ -111,49 +111,51 @@ def project(t: Transducer, coordinate: str) -> Nfa:
     return Nfa(t.alphabet, t.n, edges, t.initial, t.terminals)
 
 
-def _product_side(t: Transducer, r: Nfa, side: int):
-    """Restrict tape `side` (0 or 1) of t to the language of r: the product
-    _explore_side explores, with its keys, terminal where both t and r are."""
-    keys, edges = _explore_side(t, r, side)
-    terms = [i for i, (p, q) in enumerate(keys) if p in t.terminals and q in r.terminals]
-    return Transducer(t.alphabet, len(keys), edges, 0, terms), keys
+def _first_side(rows, initial: int, r: Nfa) -> tuple[list[tuple[int, int]], list[list[TEdge]]]:
+    """The product restricting tape 0 of a transducer graph, given by its
+    adjacency() rows and initial vertex, to r: its keys, as _explore_side
+    returns them, and its rows, ready to restrict tape 1.  intersect_rect
+    and linear.intersect_regular both start here, and neither builds this
+    product as a transducer."""
+    keys, edges = _explore_side(rows, initial, r, 0)
+    return keys, nfa_mod._adjacency(len(keys), edges, Transducer.label_key)
 
 
 def _explore_side(
-    t: Transducer,
+    rows,
+    initial: int,
     r: Nfa,
     side: int,
     _allowed: Optional[list[int]] = None,
 ) -> tuple[list[tuple[int, int]], list[TEdge]]:
-    """The keys and edges of the product restricting tape `side` of t to r,
-    as _explore returns them: vertex 0 is (t.initial, r.initial).
+    """The keys and edges of the product restricting tape `side` of a
+    transducer graph to r, as _explore returns them: the graph is given by
+    its adjacency() rows and its initial vertex, and vertex 0 is (initial,
+    r.initial).
 
     Product states are pairs (t-state, r-state).  A t-edge whose tape label
-    is epsilon leaves the r-state in place (the loop trick: r is padded with
-    epsilon loops at every vertex); r's own epsilon edges advance alone
-    under an (ε,ε) label.  Both automata's out-edges are walked in the one
-    order of adjacency(), by label key and then target, so the ids do not
-    depend on the iteration order of the edge sets.  With `_allowed`, a
-    bit set of r-states per t-state as _coreachable_masks gives it, only
+    is epsilon leaves the r-state in place (the loop trick: r is padded
+    with epsilon loops at every vertex); r's own epsilon edges advance
+    alone under an (ε,ε) label.  Both graphs' out-edges are walked in the
+    one order of adjacency(), by label key and then target, so the ids do
+    not depend on the iteration order of the edge sets.  With `_allowed`,
+    a bit set of r-states per t-state as _coreachable_masks gives it, only
     the initial pair and the pairs (p, q) with bit q of _allowed[p] set are
     created, and edges into any other pair are dropped; edges into the
     initial pair are kept even when its own bit is clear.
     """
-    if t.alphabet != r.alphabet:
-        raise ValueError("different alphabets")
-    tadj = t.adjacency()
     rnext: list[dict[Optional[int], list[int]]] = [{} for _ in range(r.n)]
     for row in r.adjacency():
         for q, rl, q2 in row:
             rnext[q].setdefault(rl, []).append(q2)
-    allowed = [-1] * t.n if _allowed is None else list(_allowed)  # -1: every bit set
-    allowed[t.initial] |= 1 << r.initial
+    allowed = [-1] * len(rows) if _allowed is None else list(_allowed)  # -1: every bit set
+    allowed[initial] |= 1 << r.initial
 
     def moves(key):
         p, q = key
         nxt = rnext[q]
         out = []
-        for _p, lab, p2 in tadj[p]:
+        for _p, lab, p2 in rows[p]:
             x = lab[side]
             live = allowed[p2]
             for q2 in (q,) if x is None else nxt.get(x, ()):
@@ -165,42 +167,48 @@ def _explore_side(
                 out.append(((None, None), (p, q2)))
         return out
 
-    return nfa_mod._explore((t.initial, r.initial), moves)
+    return nfa_mod._explore((initial, r.initial), moves)
 
 
-def _coreachable_masks(
-    t: Transducer, r: Nfa, side: int, targets: Iterable[tuple[int, int]]
-) -> list[int]:
-    """Per t-state p, the bit set of the r-states q such that the pair
-    (p, q) of the product _explore_side(t, r, side) would explore, reachable
-    or not, can reach some pair in targets.  A backward worklist over t's
+def _coreachable_masks(rows, r: Nfa, side: int, targets: Iterable[tuple[int, int]]) -> list[int]:
+    """Per t-state p of a transducer graph given by its adjacency() rows,
+    the bit set of the r-states q such that the pair (p, q) of the product
+    _explore_side(rows, ·, r, side) would explore, reachable or not, can
+    reach some pair in targets.  A backward worklist over the graph's
     in-edges: a letter x on the tape maps a set through r's x-predecessor
     rows, an ε on the tape keeps it, and r's own ε edges, read backward,
     close every set.  Every predecessor of such a pair is such a pair too."""
     eps = nfa_mod._arrows(r.n, [e for e in r.edges if e[1] is None], False)
     # closed[q]: the r-states with an ε path to q, q among them
     closed = [sum(1 << v for v in nfa_mod._search(eps, [q])) for q in range(r.n)]
-    # rows[x][q2]: the closed set of the r-states with an x edge to q2
-    rows = [[0] * r.n for _ in range(len(r.alphabet))]
+    # back[x][q2]: the closed set of the r-states with an x edge to q2, and
+    # pre[x][s] the union of back[x][q2] over the bits q2 of s, on first use
+    back = [[0] * r.n for _ in range(len(r.alphabet))]
     for q, x, q2 in r.edges:
         if x is not None:
-            rows[x][q2] |= closed[q]
-    tback: list[list[tuple[Optional[int], int]]] = [[] for _ in range(t.n)]
-    for p, lab, p2 in t.edges:
-        tback[p2].append((lab[side], p))
-    mask = [0] * t.n
+            back[x][q2] |= closed[q]
+    pre: list[dict[int, int]] = [{} for _ in back]
+    tback: list[list[tuple[Optional[int], int]]] = [[] for _ in rows]
+    for row in rows:
+        for p, lab, p2 in row:
+            tback[p2].append((lab[side], p))
+    mask = [0] * len(rows)
     for f, q in targets:
         mask[f] |= closed[q]
-    stack = [f for f in range(t.n) if mask[f]]
+    stack = [f for f, m in enumerate(mask) if m]
     while stack:
         p2 = stack.pop()
         s = mask[p2]
         for x, p in tback[p2]:
-            m, rest = (s, 0) if x is None else (0, s)
-            while rest:
-                low = rest & -rest
-                m |= rows[x][low.bit_length() - 1]
-                rest ^= low
+            if x is None:
+                m = s
+            elif (m := pre[x].get(s)) is None:
+                m, rest = 0, s
+                while rest:
+                    low = rest & -rest
+                    m |= back[x][low.bit_length() - 1]
+                    rest ^= low
+                pre[x][s] = m
             if m & ~mask[p]:
                 mask[p] |= m
                 stack.append(p)
@@ -209,8 +217,15 @@ def _coreachable_masks(
 
 def intersect_rect(t: Transducer, r: Nfa, s: Nfa) -> Transducer:
     """Intersect the transduction with the rectangle R × S: keep pairs (u,v)
-    with u in L(r) and v in L(s)."""
-    return _product_side(_product_side(t, r, 0)[0], s, 1)[0]
+    with u in L(r) and v in L(s).  Tape 0 is restricted first
+    (_first_side), and only the answer is built as a transducer."""
+    if not t.alphabet == r.alphabet == s.alphabet:
+        raise ValueError("different alphabets")
+    first_keys, first = _first_side(t.adjacency(), t.initial, r)
+    keys, edges = _explore_side(first, 0, s, 1)
+    ends = [p in t.terminals and q in r.terminals for p, q in first_keys]
+    terms = [i for i, (f, q) in enumerate(keys) if ends[f] and q in s.terminals]
+    return Transducer(t.alphabet, len(keys), edges, 0, terms)
 
 
 def identity_of(r: Nfa) -> Transducer:

@@ -22,6 +22,7 @@ from combings import (
     Nfa,
     Transducer,
     Word,
+    ball,
     invert_linear,
     invert_word,
 )
@@ -444,8 +445,8 @@ def rectangle_product_unpruned(t, r, mode):
     with the r-state q.  Returns the kept keys in id order, the edges
     between kept states renumbered by that order, and the initial id."""
     y_side = nfa_mod.inverse_lang(r) if mode == "inverse" else nfa_mod.reverse(r)
-    first, first_keys = td._product_side(t, r, 0)
-    both, keys = td._product_side(first, y_side, 1)
+    first, first_keys = product_side_chain(t, r, 0)
+    both, keys = product_side_chain(first, y_side, 1)
     targets = {
         i
         for i, (f, q) in enumerate(keys)
@@ -462,6 +463,127 @@ def rectangle_product_unpruned(t, r, mode):
         if s in remap and d in remap
     }
     return [keys[i] for i in order], edges, remap[both.initial]
+
+
+# The extract as it was built automaton by automaton: the union of the
+# per-letter trims and the tape-0 product each a Transducer that the next
+# product reads through adjacency(), product states tuple-keyed.  The
+# library's one chain of explored graphs must give the very same automata.
+
+
+def _built_union(cls, alphabet, n, edges, initial, term_sets):
+    return nfa_mod._built(cls, alphabet, nfa_mod._trim_union(cls, n, edges, initial, term_sets, explored=True))
+
+
+def explore_side_chain(t, r, side, allowed=None):
+    """The product restricting tape `side` of the transducer t to r, as
+    _explore returns it, walking t.adjacency() and r.adjacency() with
+    (t-state, r-state) tuples for keys; with allowed, a bit set of r-states
+    per t-state, other pairs than the initial one are not created."""
+    tadj = t.adjacency()
+    rnext = [{} for _ in range(r.n)]
+    for row in r.adjacency():
+        for q, rl, q2 in row:
+            rnext[q].setdefault(rl, []).append(q2)
+    allowed = [-1] * t.n if allowed is None else list(allowed)
+    allowed[t.initial] |= 1 << r.initial
+
+    def moves(key):
+        p, q = key
+        out = []
+        for _p, lab, p2 in tadj[p]:
+            x = lab[side]
+            for q2 in (q,) if x is None else rnext[q].get(x, ()):
+                if allowed[p2] >> q2 & 1:
+                    out.append((lab, (p2, q2)))
+        for q2 in rnext[q].get(None, ()):
+            if allowed[p] >> q2 & 1:
+                out.append(((None, None), (p, q2)))
+        return out
+
+    return nfa_mod._explore((t.initial, r.initial), moves)
+
+
+def product_side_chain(t, r, side):
+    """explore_side_chain built as a Transducer, terminal where t and r
+    both are, with its keys."""
+    keys, edges = explore_side_chain(t, r, side)
+    terms = [i for i, (p, q) in enumerate(keys) if p in t.terminals and q in r.terminals]
+    return Transducer(t.alphabet, len(keys), edges, 0, terms), keys
+
+
+def coreachable_masks_chain(t, r, side, targets):
+    """Per state p of t, the bit set of the r-states q whose pair (p, q) in
+    explore_side_chain(t, r, side) reaches a target: a backward worklist
+    over t's edges, each tape letter mapping a set through r's
+    predecessors, r's ε edges closing every set."""
+    eps = nfa_mod._arrows(r.n, [e for e in r.edges if e[1] is None], False)
+    closed = [sum(1 << v for v in nfa_mod._search(eps, [q])) for q in range(r.n)]
+    back = [[0] * r.n for _ in range(len(r.alphabet))]
+    for q, x, q2 in r.edges:
+        if x is not None:
+            back[x][q2] |= closed[q]
+    tback = [[] for _ in range(t.n)]
+    for p, lab, p2 in t.edges:
+        tback[p2].append((lab[side], p))
+    mask = [0] * t.n
+    for f, q in targets:
+        mask[f] |= closed[q]
+    stack = [f for f in range(t.n) if mask[f]]
+    while stack:
+        p2 = stack.pop()
+        for x, p in tback[p2]:
+            m = mask[p2] if x is None else 0
+            for q2 in range(r.n):
+                if x is not None and mask[p2] >> q2 & 1:
+                    m |= back[x][q2]
+            if m & ~mask[p]:
+                mask[p] |= m
+                stack.append(p)
+    return mask
+
+
+def intersect_regular_chain(l, r):
+    """linear.intersect_regular through the automata chain: the tape-0
+    product a Transducer, its masks and the masked tape-1 product read off
+    it, the rectangles trimmed and united."""
+    r = nfa_mod.trim(r)
+    y_side = nfa_mod.inverse_lang(r) if l.mode == "inverse" else nfa_mod.reverse(r)
+    first, first_keys = product_side_chain(l.t, r, 0)
+    split_at = [q if p in l.t.terminals else None for p, q in first_keys]
+    targets = [(f, q) for f, q in enumerate(split_at) if q is not None]
+    live = coreachable_masks_chain(first, y_side, 1, targets)
+    keys, edges = explore_side_chain(first, y_side, 1, live)
+    term_sets = [[] for _ in range(r.n)]
+    for i, (f, q) in enumerate(keys):
+        if split_at[f] == q:
+            term_sets[q].append(i)
+    return LinearLanguage(_built_union(Transducer, r.alphabet, len(keys), edges, 0, term_sets), l.mode)
+
+
+def extract_generators_chain(c, o, ft_bound):
+    """structures.extract_generators through the automata chain: the pair
+    product by its definition, the union of the per-letter trims built as
+    a Transducer, then intersect_regular_chain with the nonempty freely
+    reduced words."""
+    c = nfa_mod.remove_epsilon(nfa_mod.trim(c))
+    bl = ball(o, ft_bound)
+    statelist, edges = pair_product_bf(c, c, o, bl)
+    n = len(statelist)
+    term_sets = []
+    for a in range(len(c.alphabet)):
+        terms = [
+            i
+            for i, (p, q, h) in enumerate(statelist)
+            if h == o.letter_element(a) and p in c.terminals and q in c.terminals
+        ]
+        if terms:
+            edges += [(i, (None, None), n) for i in terms] + [(n, (a, None), n + 1)]
+            term_sets.append([n + 1])
+            n += 2
+    u = _built_union(Transducer, c.alphabet, n, edges, 0, term_sets)
+    reduced = nfa_mod.freely_reduced_lang(c.alphabet, include_empty=False)
+    return intersect_regular_chain(LinearLanguage(u, "inverse"), reduced)
 
 
 def coreachable_pairs_bf(t, r, side, targets):

@@ -333,6 +333,41 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["enum", str(tmp_path / "nope.nfa"), "--maxlen", "2"]) == 2
 
 
+def _enum_dir(tmp_path):
+    return ["enum", str(tmp_path), "--maxlen", "2"]
+
+
+def _extract_to_dir(tmp_path):
+    cf = _write(tmp_path, "c.nfa", Nfa(AB, 5, Z2_SHORTLEX_EDGES, 0, range(5)))
+    of = _write(tmp_path, "o.oracle", AbelianOracle(AB, 2, {"a": [1, 0], "b": [0, 1]}))
+    return ["extract", cf, "--oracle", of, "--ft", "2", "--out", str(tmp_path)]
+
+
+def _not_utf8(tmp_path):
+    bad = tmp_path / "latin1.nfa"
+    bad.write_bytes("alphabet a A\ninverse a A\nnfa # é\n".encode("latin-1"))
+    return ["enum", str(bad), "--maxlen", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_enum_dir, "error: [Errno 21] Is a directory: "),
+        (_extract_to_dir, "error: [Errno 21] Is a directory: "),
+        (_not_utf8, "error: line 3: byte 0xe9 is not UTF-8 text"),
+    ],
+    ids=["input directory", "output directory", "not utf-8"],
+)
+def test_file_errors_exit_2(tmp_path, capsys, argv, message):
+    """A directory given as the input or the --out file, and an input that
+    is not UTF-8 text, print one error line, no traceback, and exit 2."""
+    assert main(argv(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1
+
+
 def test_unknown_verb_is_systemexit():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

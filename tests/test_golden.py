@@ -390,6 +390,31 @@ def test_golden_z3_extract():
     assert _sha256(fileformat.write(gens)) == Z3_EXTRACT_SHA256
 
 
+# sha256 of the in-memory S₅ and ℤ³ extracts, (n, edges ordered by source,
+# label key and target, initial, sorted terminals): fileformat.write
+# renumbers, so only these pin the extract's own ids
+EXTRACT_IDS_SHA256 = {
+    "S5": "4a5110761626686839e30401b91c403037d294c07e494fb40acb3f66904b41dc",
+    "Z3": "450bac6c3d346b86cb8f1598a04632752802c44dee46ec28e25063fb6ed5b22d",
+}
+
+
+def s5_extract():
+    """The benchmark's S₅: the shortlex trie extracted at the diameter."""
+    table, gens = REF.symmetric(5, None)
+    n, edges, diameter = REF.shortlex_trie(table, REF.letter_images(table, gens))
+    o = FiniteOracle(AB2, table, dict(zip("ab", gens)))
+    return st.extract_generators(Nfa(AB2, n, edges, 0, range(n)), o, diameter), o
+
+
+@pytest.mark.parametrize("name, make", [("S5", s5_extract), ("Z3", z3_extract)])
+def test_extract_ids(name, make):
+    t = make()[0].t
+    edges = sorted(t.edges, key=lambda e: (e[0], t.label_key(e[1]), e[2]))
+    graph = (t.n, edges, t.initial, sorted(t.terminals))
+    assert _sha256(repr(graph)) == EXTRACT_IDS_SHA256[name]
+
+
 def test_golden_s3_table_group():
     gens, o = s3_extract()
     assert (gens.t.n, len(gens.t.edges)) == (148, 257)

@@ -125,7 +125,7 @@ def test_rectangle_product_is_the_pruned_full_product(rng, ab2):
         for _ in range(40):
             t = random_transducer(rng, ab2, max_states=5, eps_frac=0.3)
             r = nfa_mod.trim(random_nfa(rng, ab2, max_states=5, eps_frac=0.25))
-            keys, edges, _split_at = lin._rectangle_product(t, r, mode)
+            keys, edges, _split_at = lin._rectangle_product(t.adjacency(), t.initial, t.terminals, r, mode)
             want_keys, want_edges, want_initial = rectangle_product_unpruned(t, r, mode)
             assert keys == want_keys
             assert all(0 <= s < len(keys) and 0 <= d < len(keys) for s, _lab, d in edges)

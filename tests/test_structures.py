@@ -37,9 +37,11 @@ from bruteforce import (
     REF,
     closed_generators,
     core_by_reach,
+    extract_generators_chain,
     first_tape_core,
     ft_bound_all_pairs,
     ft_distance_by_staircases,
+    intersect_regular_chain,
     inversion_closure,
     oracles,
     pair_product_bf,
@@ -598,6 +600,55 @@ def test_s5_extract_builds_three_large_automata(monkeypatch):
     large = [m for m in sizes if m > 1000]
     assert len(large) <= 3
     assert len(gens_lang.t.edges) in large
+
+
+def test_s5_extract_builds_only_its_answer(monkeypatch):
+    """The S₅ extract of the benchmark constructs five automata: the ε-free
+    combing, the freely reduced words, their reversal and its relabelling
+    to inverses, and the answer, the only transducer.  The pair product,
+    the union of the letter pieces and both rectangle products pass from
+    stage to stage as explored edges and rows; building the union and the
+    tape-0 product as transducers took seven constructions."""
+    table, gens = REF.symmetric(5, None)
+    n, edges, diameter = REF.shortlex_trie(table, REF.letter_images(table, gens))
+    o = FiniteOracle(AB2, table, dict(zip("ab", gens)))
+    c = Nfa(AB2, n, edges, 0, range(n))
+    built = []
+    init = nfa_mod.Automaton.__init__
+
+    def counted(self, *args, **kw):
+        init(self, *args, **kw)
+        built.append(self)
+
+    monkeypatch.setattr(nfa_mod.Automaton, "__init__", counted)
+    gens_lang = extract_generators(c, o, diameter)
+    assert len(built) == 5
+    assert [a for a in built if isinstance(a, Transducer)] == [gens_lang.t]
+
+
+def _graph(a):
+    return a.n, a.edges, a.initial, a.terminals
+
+
+@settings(max_examples=150, deadline=None)
+@given(hst.data())
+def test_extract_and_intersect_match_the_automata_chain(data):
+    """extract_generators and intersect_regular return the very automata,
+    ids included, that the chain of built automata gives
+    (bruteforce.extract_generators_chain and intersect_regular_chain): on
+    small automata with ε edges that need not be combings, over every
+    oracle kind of bruteforce.oracles, in both modes, and with a regular
+    side whose language may be empty."""
+    ab = data.draw(hst.sampled_from([AB1, AB2]))
+    o = data.draw(oracles(ab))
+    c = data.draw(_nfas(ab))
+    k = data.draw(hst.integers(0, 2))
+    assert _graph(extract_generators(c, o, k).t) == _graph(extract_generators_chain(c, o, k).t)
+    l = LinearLanguage(data.draw(_transducers(ab)), data.draw(hst.sampled_from(lin.MODES)))
+    r = data.draw(_nfas(ab))
+    if data.draw(hst.booleans()):
+        r = Nfa(ab, r.n, r.edges, r.initial, [])
+    assert _graph(lin.intersect_regular(l, r).t) == _graph(intersect_regular_chain(l, r).t)
 
 
 @settings(max_examples=200, deadline=None)

@@ -159,7 +159,7 @@ def test_trim_union_against_trim_then_union(rnd, make, explored):
     ]
     if sets and rnd.random() < 0.3:
         sets.append(list(sets[0]))
-    got = nfa_mod._trim_union(type(a), AB2, a.n, a.edges, a.initial, sets, explored=explored)
+    got = nfa_mod._built(type(a), AB2, nfa_mod._trim_union(type(a), a.n, a.edges, a.initial, sets, explored))
     want = trim_union_fresh(a, sets)
     assert type(got) is type(a)
     assert (got.n, got.edges, got.initial, got.terminals) == (
@@ -430,7 +430,7 @@ def test_cycle_analyses_match_their_definitions(t, order, data):
         _check_cycle_analysis(op, stripped)
     state = hst.integers(0, t.n - 1)
     sets = data.draw(hst.lists(hst.lists(state, max_size=3), max_size=3))
-    for u in (trimmed, nfa_mod._trim_union(Transducer, AB2, t.n, t.edges, t.initial, sets)):
+    for u in (trimmed, nfa_mod._built(Transducer, AB2, nfa_mod._trim_union(Transducer, t.n, t.edges, t.initial, sets))):
         assert td.trim(u) is u
         assert _parts(u) == _parts(trim_fresh(u))
 
@@ -542,14 +542,14 @@ def test_coreachable_masks_against_backward_search(rnd, mode, side):
     r = random_nfa(rnd, AB2, max_states=4, eps_frac=0.3)
     r = nfa_mod.inverse_lang(r) if mode == "inverse" else nfa_mod.reverse(r)
     targets = [(rnd.randrange(t.n), rnd.randrange(r.n)) for _ in range(rnd.randint(0, 3))]
-    masks = td._coreachable_masks(t, r, side, targets)
+    masks = td._coreachable_masks(t.adjacency(), r, side, targets)
     live = coreachable_pairs_bf(t, r, side, targets)
     assert len(masks) == t.n
     assert {(p, q) for p in range(t.n) for q in range(r.n) if masks[p] >> q & 1} == live
     assert all(0 <= m < 1 << r.n for m in masks)
 
-    keys, edges = td._explore_side(t, r, side, masks)
-    full_keys, full_edges = td._explore_side(t, r, side)
+    keys, edges = td._explore_side(t.adjacency(), t.initial, r, side, masks)
+    full_keys, full_edges = td._explore_side(t.adjacency(), t.initial, r, side)
     at = {key: i for i, key in enumerate(k for k in full_keys if k in live or k == full_keys[0])}
     assert keys == list(at)
     cut = [
@@ -567,10 +567,10 @@ def test_explore_side_keeps_edges_into_an_initial_pair_without_targets(ab2):
     t = Transducer(ab2, 2, [(0, (0, 1), 0), (1, (1, None), 0)], 0, [1])
     r = Nfa(ab2, 1, [(0, 0, 0), (0, 1, 0)], 0, [0])
     for side in (0, 1):
-        masks = td._coreachable_masks(t, r, side, [(1, 0)])
+        masks = td._coreachable_masks(t.adjacency(), r, side, [(1, 0)])
         assert masks == [0, 1]
-        assert td._explore_side(t, r, side, masks) == ([(0, 0)], [(0, (0, 1), 0)])
-        assert td._explore_side(t, r, side, [0, 0]) == ([(0, 0)], [(0, (0, 1), 0)])
+        assert td._explore_side(t.adjacency(), 0, r, side, masks) == ([(0, 0)], [(0, (0, 1), 0)])
+        assert td._explore_side(t.adjacency(), 0, r, side, [0, 0]) == ([(0, 0)], [(0, (0, 1), 0)])
 
 
 @settings(max_examples=300, deadline=None)
