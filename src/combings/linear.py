@@ -75,28 +75,29 @@ def _intersect(rows, initial: int, terminals, r: Nfa, mode: str) -> Transducer:
         if split_at[f] == q:
             term_sets[q].append(i)
     graph = nfa_mod._trim_union(Transducer, len(keys), edges, 0, term_sets, explored=True)
-    return nfa_mod._built(Transducer, r.alphabet, graph)
+    return nfa_mod._trimmed(Transducer(r.alphabet, *graph))
 
 
 def _rectangle_product(
     rows, initial: int, terminals, r: Nfa, mode: str
 ) -> tuple[list[tuple[int, int]], list[TEdge], list[Optional[int]]]:
     """The product of intersect_regular for a trimmed r and a transducer
-    graph given by its adjacency() rows, initial vertex and terminals, as
-    the keys (first-product state, r'-state) and edges _explore_side
-    returns, vertex 0 initial, and, per first-product state, the r-state p
-    it splits at when its t-state is terminal (else None).
+    graph given by its adjacency() rows, initial vertex and terminals: the
+    keys (first-product state, r'-state) and edges _explore_side returns,
+    vertex 0 initial, and, per first-product state, the r-state p it splits
+    at when its t-state is terminal (else None).
 
-    The first product restricts tape 0 to r (td._first_side).  The second
-    restricts tape 1 of it to r' and is explored only on the pairs from
-    which a rectangle terminal (f, p) with split_at[f] == p can be reached,
-    plus the initial pair.  A backward worklist over the first product's
-    in-edges finds them as one bit set of r'-states per first-product
-    state; since every predecessor of such a pair is one too, the forward
-    search still meets them in the order the full product would number
-    them."""
+    The first product restricts tape 0 to r and hands its rows on.  The
+    second restricts tape 1 of it to r' and is explored only on the pairs
+    from which a rectangle terminal (f, p) with split_at[f] == p can be
+    reached, plus the initial pair.  A backward worklist over the first
+    product's in-edges finds them as one bit set of r'-states per
+    first-product state; since every predecessor of such a pair is one
+    too, the forward search still meets them in the order the full product
+    would number them."""
     y_side = nfa_mod.inverse_lang(r) if mode == "inverse" else nfa_mod.reverse(r)
-    first_keys, first = td._first_side(rows, initial, r)
+    first_keys, first_edges = td._explore_side(rows, initial, r, 0)
+    first = nfa_mod._adjacency(len(first_keys), first_edges, Transducer.label_key)
     split_at = [q if p in terminals else None for p, q in first_keys]
     targets = [(f, q) for f, q in enumerate(split_at) if q is not None]
     live = td._coreachable_masks(first, y_side, 1, targets)

@@ -61,7 +61,7 @@ class Automaton:
         self.initial = initial
         self.terminals: frozenset[int] = frozenset(terminals)
         self._adj = self._comp = None
-        self._trimmed = False  # set by trim and _built
+        self._trimmed = False  # set by _trimmed
         if not 0 <= initial < n:
             raise ValueError(f"initial vertex {initial} out of range")
         for t in self.terminals:
@@ -166,7 +166,9 @@ def _adjacency(n: int, edges: Iterable[tuple], label_key) -> list[list[tuple]]:
         by_label.setdefault(e[1], []).append(e)
     rows: list[list[tuple]] = [[] for _ in range(n)]
     for lab in sorted(by_label, key=label_key):
-        for e in sorted(by_label[lab], key=itemgetter(2)):
+        group = by_label[lab]
+        group.sort(key=itemgetter(2))
+        for e in group:
             rows[e[0]].append(e)
     return rows
 
@@ -251,14 +253,13 @@ def _explore(start, moves) -> tuple[list, list[tuple]]:
     ids = {start: 0}
     keys = [start]
     edges: list[tuple] = []
-    find, add = ids.get, edges.append  # once per edge: bound once
     for i, key in enumerate(keys):  # the list grows while it is walked
         for lab, nxt in moves(key):
-            j = find(nxt)
+            j = ids.get(nxt)
             if j is None:
                 j = ids[nxt] = len(keys)
                 keys.append(nxt)
-            add((i, lab, j))
+            edges.append((i, lab, j))
     return keys, edges
 
 
@@ -271,10 +272,9 @@ def trim(a: A) -> A:
     if a._trimmed:
         return a
     graph = _trim_union(type(a), a.n, a.edges, a.initial, [a.terminals])
-    n, _edges, _initial, terms = graph
-    if terms and n == a.n:  # one piece holding every vertex: nothing is cut
+    if graph[3] and graph[0] == a.n:  # one nonempty piece, nothing cut
         return _trimmed(a)
-    return _built(type(a), a.alphabet, graph)
+    return _trimmed(type(a)(a.alphabet, *graph))
 
 
 def _trim_union(
@@ -287,17 +287,15 @@ def _trim_union(
 ) -> tuple[int, list[tuple], int, list[int]]:
     """union_all of the trims of the graph (n, edges, initial) to each
     terminal set, leaving out those with empty language, as the graph
-    (n, edges, initial, terminals) of the automaton of cls it would be: the
-    one nonempty trim itself, without a root, when there is one, and the
-    trim of empty language, a lone initial vertex with no terminals, when
-    there is none.  The trims are never built: a backward search over the
-    in-edges of reachable vertices finds the vertices a trim keeps, and
-    their in-edges are its edges, so the work per trim is proportional to
-    the trim.  An explored graph, every vertex of which is reachable, needs
-    no forward search.  Past the roots' ε edges, the edges come in order of
-    their targets, so _adjacency sorts each label's group in one pass.
-    _built makes the automaton; a stage that only reads the graph takes
-    its _adjacency rows instead."""
+    (n, edges, initial, terminals) of an automaton of cls: the one nonempty
+    trim itself, without a root, when there is one, and the trim of empty
+    language, a lone initial vertex with no terminals, when there is none.
+    The trims are never built: a backward search over the in-edges of
+    reachable vertices finds the vertices a trim keeps, and their in-edges
+    are its edges, so the work per trim is proportional to the trim.  An
+    explored graph, every vertex of which is reachable, needs no forward
+    search.  A stage that reads the graph takes its _adjacency rows; the
+    last builds the automaton, which is trimmed (_trimmed)."""
     if not explored:
         reached = _search(_arrows(n, edges, True), [initial])
         edges = [e for e in edges if e[0] in reached]
@@ -334,12 +332,6 @@ def _trim_union(
             out_edges += [(at[s], lab, ad) for s, lab, _d in into[d]]
         out_terms.extend(at[x] for x in ends)
     return off, out_edges, inits[0] if len(kept) == 1 else 0, out_terms
-
-
-def _built(cls: type[A], alphabet: Alphabet, graph: tuple) -> A:
-    """The automaton of cls over alphabet of a graph _trim_union returns,
-    marked trimmed."""
-    return _trimmed(cls(alphabet, *graph))
 
 
 def _trimmed(a: A) -> A:

@@ -467,67 +467,58 @@ def _tail_classes(t: Transducer, core_v: frozenset[int], core_e, o: GroupOracle)
             nexts[c][x] = ids[e]
         return nexts[c][x]
 
-    # states (vertex, x-class id, y-class id), numbered as found, each with
-    # the numbers of its successor states and its count of in-edges
+    # states (vertex, x-class id, y-class id), each with its predecessor states
     if core_v:
         starts = {(d, to(0, x), to(0, y)) for s, (x, y), d in t.edges if s in core_v and d not in core_v}
     else:
         starts = {(t.initial, 0, 0)}
-    keys = list(starts)
-    number = {key: i for i, key in enumerate(keys)}
-    succ: list[list[int]] = [[] for _ in keys]
-    indegree = [0] * len(keys)
-    stack = list(range(len(keys)))
+    pred: dict[tuple, list[tuple]] = {key: [] for key in starts}
+    stack = list(pred)
     adj = t.adjacency()
     while stack:
-        if 2 * len(keys) + root > DEFAULT_BALL_CAP:
+        if 2 * len(pred) + root > DEFAULT_BALL_CAP:
             raise RuntimeError(
                 f"tail search exceeded {DEFAULT_BALL_CAP} states; the off-core part is too wide"
             )
-        i = stack.pop()
-        v, cx, cy = keys[i]
-        nx, ny, out = nexts[cx], nexts[cy], succ[i]
+        key = stack.pop()
+        v, cx, cy = key
+        nx, ny = nexts[cx], nexts[cy]
         for _v, (x, y), q in adj[v]:
             nxt = (q, nx[x] if x in nx else to(cx, x), ny[y] if y in ny else to(cy, y))
-            j = number.get(nxt)
-            if j is None:
-                j = number[nxt] = len(keys)
-                keys.append(nxt)
-                succ.append([])
-                indegree.append(0)
-                stack.append(j)
-            indegree[j] += 1
-            out.append(j)
+            if nxt in pred:
+                pred[nxt].append(key)
+            else:
+                pred[nxt] = [key]
+                stack.append(nxt)
 
     # The x- and y-head classes on the way to each state, its own among
-    # them, as bit sets of class ids, propagated in one pass over the
-    # states in topological order: off the core there is no cycle.
-    xheads = [1 << cx for _v, cx, _cy in keys]
-    yheads = [1 << cy for _v, _cx, cy in keys]
-    order = [i for i, d in enumerate(indegree) if not d]
-    for i in order:  # the list grows while it is walked
-        hx, hy = xheads[i], yheads[i]
-        for j in succ[i]:
-            xheads[j] |= hx
-            yheads[j] |= hy
-            indegree[j] -= 1
-            if not indegree[j]:
-                order.append(j)
+    # them, as bit sets of class ids, in one pass that takes predecessors
+    # first: off the core every vertex is a component of its own, and a
+    # successor's component closes, and is numbered, first.
+    comp = t.components()[0]
+    heads: dict[tuple, tuple[int, int]] = {}
+    for key in sorted(pred, key=lambda key: -comp[key[0]]):
+        hx, hy = 1 << key[1], 1 << key[2]
+        for p in pred[key]:
+            hx |= heads[p][0]
+            hy |= heads[p][1]
+        heads[key] = hx, hy
 
     classes = {e0}
-    for _v, cx, cy in keys:
+    for _v, cx, cy in pred:
         classes.add(elems[cx])
         classes.add(elems[cy])
-    for i, (fv, fx, fy) in enumerate(keys):
+    for fkey, (hx, hy) in heads.items():
+        fv, fx, fy = fkey
         if fv in t.terminals:
             # t's tail with its y-heads, then t⁻¹'s, whose y-heads are t's x-heads
-            for ex, ey, heads in ((fx, fy, yheads[i]), (fy, fx, xheads[i])):
+            for ex, ey, bits in ((fx, fy, hy), (fy, fx, hx)):
                 base = o.mul(elems[ex], o.inv_element(elems[ey]))
-                heads |= 1  # the identity, class 0
-                while heads:
-                    low = heads & -heads
+                bits |= 1  # the identity, class 0
+                while bits:
+                    low = bits & -bits
                     classes.add(o.mul(base, elems[low.bit_length() - 1]))
-                    heads ^= low
+                    bits ^= low
     return classes
 
 
@@ -614,13 +605,14 @@ def extract_generators(c: Nfa, o: GroupOracle, ft_bound: int) -> LinearLanguage:
     statelist, edges = _pair_product(c, o, bl)
     alphabet = c.alphabet
     n = len(statelist)
-    ends: dict = {}  # class -> the states pairing two terminals of C at it
+    # letter class -> the states pairing two terminals of C at it
+    ends: dict = {o.letter_element(a): [] for a in range(len(alphabet))}
     for i, (p, q, h) in enumerate(statelist):
-        if p in c.terminals and q in c.terminals:
-            ends.setdefault(h, []).append(i)
+        if h in ends and p in c.terminals and q in c.terminals:
+            ends[h].append(i)
     term_sets = []
     for a in range(len(alphabet)):
-        terms = ends.get(o.letter_element(a))
+        terms = ends[o.letter_element(a)]
         if terms:
             edges.extend((i, (None, None), n) for i in terms)
             edges.append((n, (a, None), n + 1))
@@ -895,7 +887,7 @@ def build_combing(
             dmask = sum(bit.get(h, 0) for h in dset)
             terms = [j for j, m in masks.items() if not m & dmask]
             # every vertex of the shared product is reachable
-            cx = nfa_mod._built(Nfa, alphabet, nfa_mod._trim_union(Nfa, n, edges, 0, [terms], explored=True))
+            cx = nfa_mod._trimmed(Nfa(alphabet, *nfa_mod._trim_union(Nfa, n, edges, 0, [terms], explored=True)))
         else:
             cx = c0  # minimal, so trimmed
         if cx.terminals:

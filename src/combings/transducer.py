@@ -11,6 +11,8 @@ automaton can tell a transducer apart.  What is here reads the two tapes.
 from __future__ import annotations
 
 from collections import deque
+from functools import reduce
+from operator import or_
 from typing import Iterable, Optional
 
 from . import nfa as nfa_mod
@@ -111,16 +113,6 @@ def project(t: Transducer, coordinate: str) -> Nfa:
     return Nfa(t.alphabet, t.n, edges, t.initial, t.terminals)
 
 
-def _first_side(rows, initial: int, r: Nfa) -> tuple[list[tuple[int, int]], list[list[TEdge]]]:
-    """The product restricting tape 0 of a transducer graph, given by its
-    adjacency() rows and initial vertex, to r: its keys, as _explore_side
-    returns them, and its rows, ready to restrict tape 1.  intersect_rect
-    and linear.intersect_regular both start here, and neither builds this
-    product as a transducer."""
-    keys, edges = _explore_side(rows, initial, r, 0)
-    return keys, nfa_mod._adjacency(len(keys), edges, Transducer.label_key)
-
-
 def _explore_side(
     rows,
     initial: int,
@@ -200,15 +192,9 @@ def _coreachable_masks(rows, r: Nfa, side: int, targets: Iterable[tuple[int, int
         p2 = stack.pop()
         s = mask[p2]
         for x, p in tback[p2]:
-            if x is None:
-                m = s
-            elif (m := pre[x].get(s)) is None:
-                m, rest = 0, s
-                while rest:
-                    low = rest & -rest
-                    m |= back[x][low.bit_length() - 1]
-                    rest ^= low
-                pre[x][s] = m
+            m = s if x is None else pre[x].get(s)
+            if m is None:
+                m = pre[x][s] = reduce(or_, (back[x][q] for q in range(r.n) if s >> q & 1), 0)
             if m & ~mask[p]:
                 mask[p] |= m
                 stack.append(p)
@@ -217,11 +203,12 @@ def _coreachable_masks(rows, r: Nfa, side: int, targets: Iterable[tuple[int, int
 
 def intersect_rect(t: Transducer, r: Nfa, s: Nfa) -> Transducer:
     """Intersect the transduction with the rectangle R × S: keep pairs (u,v)
-    with u in L(r) and v in L(s).  Tape 0 is restricted first
-    (_first_side), and only the answer is built as a transducer."""
+    with u in L(r) and v in L(s).  The tape-0 product hands its rows to the
+    tape-1 product, which alone is built."""
     if not t.alphabet == r.alphabet == s.alphabet:
         raise ValueError("different alphabets")
-    first_keys, first = _first_side(t.adjacency(), t.initial, r)
+    first_keys, edges = _explore_side(t.adjacency(), t.initial, r, 0)
+    first = nfa_mod._adjacency(len(first_keys), edges, Transducer.label_key)
     keys, edges = _explore_side(first, 0, s, 1)
     ends = [p in t.terminals and q in r.terminals for p, q in first_keys]
     terms = [i for i, (f, q) in enumerate(keys) if ends[f] and q in s.terminals]

@@ -472,7 +472,7 @@ def rectangle_product_unpruned(t, r, mode):
 
 
 def _built_union(cls, alphabet, n, edges, initial, term_sets):
-    return nfa_mod._built(cls, alphabet, nfa_mod._trim_union(cls, n, edges, initial, term_sets, explored=True))
+    return nfa_mod._trimmed(cls(alphabet, *nfa_mod._trim_union(cls, n, edges, initial, term_sets, explored=True)))
 
 
 def explore_side_chain(t, r, side, allowed=None):

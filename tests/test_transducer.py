@@ -159,7 +159,7 @@ def test_trim_union_against_trim_then_union(rnd, make, explored):
     ]
     if sets and rnd.random() < 0.3:
         sets.append(list(sets[0]))
-    got = nfa_mod._built(type(a), AB2, nfa_mod._trim_union(type(a), a.n, a.edges, a.initial, sets, explored))
+    got = nfa_mod._trimmed(type(a)(AB2, *nfa_mod._trim_union(type(a), a.n, a.edges, a.initial, sets, explored)))
     want = trim_union_fresh(a, sets)
     assert type(got) is type(a)
     assert (got.n, got.edges, got.initial, got.terminals) == (
@@ -430,7 +430,7 @@ def test_cycle_analyses_match_their_definitions(t, order, data):
         _check_cycle_analysis(op, stripped)
     state = hst.integers(0, t.n - 1)
     sets = data.draw(hst.lists(hst.lists(state, max_size=3), max_size=3))
-    for u in (trimmed, nfa_mod._built(Transducer, AB2, nfa_mod._trim_union(Transducer, t.n, t.edges, t.initial, sets))):
+    for u in (trimmed, nfa_mod._trimmed(Transducer(AB2, *nfa_mod._trim_union(Transducer, t.n, t.edges, t.initial, sets)))):
         assert td.trim(u) is u
         assert _parts(u) == _parts(trim_fresh(u))
 
