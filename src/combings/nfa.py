@@ -10,14 +10,17 @@ Automaton and build the input's own class.  Every product construction
 (subset constructions, pair products, renumbering) numbers its vertices
 through _explore, the one numbering policy: breadth-first discovery order.
 Every walk over out-edges reads Automaton.adjacency(), the one out-edge
-order: by label key, then target, the same in every process; every cycle
-question reads Automaton.components(), one Tarjan pass over those rows.
-Both are cached, and what _trim_union builds is marked trimmed, so a build
-analyses its generator half once and never trims it twice.
-A product that is only ever trimmed is not built as an automaton at all:
-_trim_union trims its explored keys and edges to each terminal set and
-unites the pieces in one pass, so only what survives is validated and
-stored.  Automata are immutable once built, so they are safe to share;
+order: by label key, then target, the same in every process, and a graph
+that is not built as an automaton has the same rows from _adjacency;
+every cycle question reads Automaton.components(), one Tarjan pass over
+those rows.  Both are cached, and what is built from _trim_union is marked
+trimmed, so a build analyses its generator half once and never trims it
+twice.  A product that only the next stage reads is not built as an
+automaton at all: _trim_union trims explored edges to each terminal set
+and unites the pieces in one pass, and a chain of products (extract,
+intersect_regular, intersect_rect) hands each product the rows of the one
+before, so only the automaton a chain returns is validated and stored.
+Automata are immutable once built, so they are safe to share;
 every operation returns a new automaton.  An Nfa caches one successor row
 per letter, and one for ε, on first use, so that step and eps_closure move
 whole subsets with set operations instead of a Python loop per edge.
