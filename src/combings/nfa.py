@@ -330,9 +330,7 @@ def _trim_union(
     out_edges = _root_chain(cls.EPS, inits)
     out_terms: list[int] = []
     for (order, ends), at in zip(kept, ats):
-        for d in order:
-            ad = at[d]
-            out_edges += [(at[s], lab, ad) for s, lab, _d in into[d]]
+        out_edges += [(at[s], lab, at[d]) for d in order for s, lab, _d in into[d]]
         out_terms.extend(at[x] for x in ends)
     return off, out_edges, inits[0] if len(kept) == 1 else 0, out_terms
 
