@@ -577,31 +577,6 @@ def test_extract_generators_refuses_an_oracle_over_another_alphabet(
         extract_generators(c, o, ft_bound=2)
 
 
-def test_s5_extract_builds_three_large_automata(monkeypatch):
-    """The S₅ extract of the benchmark, the shortlex trie at the Cayley
-    graph's diameter, validates and stores only three automata with more
-    than 1000 edges: the letter-piece union, its tape-0 product and the
-    answer.  The pair product and the rectangle product are trimmed and
-    united straight from their explored edges; building them and their
-    pieces as automata takes 17 such constructions."""
-    table, gens = REF.symmetric(5, None)
-    n, edges, diameter = REF.shortlex_trie(table, REF.letter_images(table, gens))
-    o = FiniteOracle(AB2, table, dict(zip("ab", gens)))
-    c = Nfa(AB2, n, edges, 0, range(n))
-    sizes = []
-    init = nfa_mod.Automaton.__init__
-
-    def counted(self, *args, **kw):
-        init(self, *args, **kw)
-        sizes.append(len(self.edges))
-
-    monkeypatch.setattr(nfa_mod.Automaton, "__init__", counted)
-    gens_lang = extract_generators(c, o, diameter)
-    large = [m for m in sizes if m > 1000]
-    assert len(large) <= 3
-    assert len(gens_lang.t.edges) in large
-
-
 def test_s5_extract_builds_only_its_answer(monkeypatch):
     """The S₅ extract of the benchmark constructs five automata: the ε-free
     combing, the freely reduced words, their reversal and its relabelling
