@@ -7,6 +7,8 @@ witness printed, 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 from . import nfa as nfa_mod
@@ -40,6 +42,21 @@ def _load(path, want, what: str):
     return obj
 
 
+def _load_linear(path) -> LinearLanguage:
+    """A linear file, or a transducer file read as the language u·v⁻¹."""
+    obj = _load(path, (LinearLanguage, Transducer), "a linear language or transducer")
+    return obj if isinstance(obj, LinearLanguage) else LinearLanguage(obj, "inverse")
+
+
+def _check_out(out: str | None) -> None:
+    """Raise, before any work, the error that writing the --out file would
+    raise for a directory or for a path in a missing directory."""
+    if out and os.path.isdir(out):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+    if out and not os.path.isdir(os.path.dirname(out) or "."):
+        raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+
+
 def _emit(obj, out: str | None) -> None:
     if out:
         write_file(out, obj)
@@ -63,82 +80,55 @@ def _nonnegative(text: str) -> int:
 
 # ------------------------------------------------------------------ verbs
 
-# the number of input files of each aut operation
+NFA = (Nfa, "an nfa")
+TRANSDUCER = (Transducer, "a transducer")
+MACHINE = ((Nfa, Transducer), "an nfa or transducer")
+ORACLE = (GroupOracle, "an oracle")
+
+# the kind of each input file of each aut operation
 AUT_INPUTS = {
-    "union": 2,
-    "concat": 2,
-    "reverse": 1,
-    "split": 1,
-    "trim": 1,
-    "equiv": 2,
-    "project": 1,
-    "intersect-rect": 3,
-    "identity": 1,
-    "sync-bound": 1,
+    "union": (MACHINE, MACHINE),
+    "concat": (MACHINE, MACHINE),
+    "reverse": (NFA,),
+    "split": (NFA,),
+    "trim": (MACHINE,),
+    "equiv": (NFA, NFA),
+    "project": (TRANSDUCER,),
+    "intersect-rect": (TRANSDUCER, NFA, NFA),
+    "identity": (NFA,),
+    "sync-bound": (TRANSDUCER,),
 }
 
 
 def _run_aut(args) -> int:
-    op = args.op
-    want = AUT_INPUTS[op]
-    if len(args.inputs) != want:
-        files = "file" if want == 1 else "files"
-        raise UsageError(f"aut {op} takes {want} input {files}, not {len(args.inputs)}")
-    if op in ("union", "concat"):
-        a = parse_file(args.inputs[0])
-        b = parse_file(args.inputs[1])
-        if type(a) is not type(b) or not isinstance(a, (Nfa, Transducer)):
-            raise UsageError("union/concat take two nfa files or two transducer files")
-        _emit(getattr(nfa_mod, op)(a, b), args.out)
-        return 0
-    if op == "reverse":
-        a = _load(args.inputs[0], Nfa, "an nfa")
-        _emit(nfa_mod.reverse(a), args.out)
-        return 0
-    if op == "trim":
-        a = parse_file(args.inputs[0])
-        if not isinstance(a, (Nfa, Transducer)):
-            raise UsageError("trim takes an nfa or transducer file")
-        _emit(nfa_mod.trim(a), args.out)
-        return 0
-    if op == "split":
-        a = _load(args.inputs[0], Nfa, "an nfa")
-        pieces = nfa_mod.split_decomposition(nfa_mod.trim(a))
-        for i, (x, y) in enumerate(pieces):
-            print(f"# piece {i}: prefix part")
-            sys.stdout.write(write(x))
-            print(f"# piece {i}: suffix part")
-            sys.stdout.write(write(y))
-        return 0
-    if op == "equiv":
-        a = _load(args.inputs[0], Nfa, "an nfa")
-        b = _load(args.inputs[1], Nfa, "an nfa")
-        w = nfa_mod.difference_witness(a, b)
-        if w is None:
-            print("equivalent")
-            return 0
-        print(f"not equivalent; witness {_shown(w)}")
-        return 1
-    if op == "project":
-        t = _load(args.inputs[0], Transducer, "a transducer")
-        _emit(td.project(t, args.coordinate), args.out)
-        return 0
-    if op == "intersect-rect":
-        t = _load(args.inputs[0], Transducer, "a transducer")
-        r = _load(args.inputs[1], Nfa, "an nfa")
-        s = _load(args.inputs[2], Nfa, "an nfa")
-        _emit(td.trim(td.intersect_rect(t, r, s)), args.out)
-        return 0
-    if op == "identity":
-        r = _load(args.inputs[0], Nfa, "an nfa")
-        _emit(td.identity_of(r), args.out)
-        return 0
-    if op == "sync-bound":
-        t = _load(args.inputs[0], Transducer, "a transducer")
-        k = td.synchronized_bound(td.strip_epsilon_cycles(td.trim(t)))
+    op, kinds = args.op, AUT_INPUTS[args.op]
+    if len(args.inputs) != len(kinds):
+        files = "file" if len(kinds) == 1 else "files"
+        raise UsageError(f"aut {op} takes {len(kinds)} input {files}, not {len(args.inputs)}")
+    # the operations that write an automaton, to --out or to stdout
+    make = {"union": nfa_mod.union, "concat": nfa_mod.concat, "reverse": nfa_mod.reverse,
+            "trim": nfa_mod.trim, "identity": td.identity_of,
+            "project": lambda t: td.project(t, args.coordinate),
+            "intersect-rect": lambda *ts: td.trim(td.intersect_rect(*ts))}.get(op)
+    if make:
+        _check_out(args.out)
+    ins = [_load(path, *kind) for path, kind in zip(args.inputs, kinds)]
+    if op in ("union", "concat") and type(ins[0]) is not type(ins[1]):
+        raise UsageError("union/concat take two nfa files or two transducer files")
+    if make:
+        _emit(make(*ins), args.out)
+    elif op == "split":
+        for i, pieces in enumerate(nfa_mod.split_decomposition(nfa_mod.trim(*ins))):
+            for part, x in zip(("prefix", "suffix"), pieces):
+                sys.stdout.write(f"# piece {i}: {part} part\n" + write(x))
+    elif op == "equiv":
+        w = nfa_mod.difference_witness(*ins)
+        print("equivalent" if w is None else f"not equivalent; witness {_shown(w)}")
+        return 0 if w is None else 1
+    else:
+        k = td.synchronized_bound(*ins)
         print("unbounded" if k is None else f"bound {k}")
-        return 0
-    raise UsageError(f"unknown aut operation {op!r}")
+    return 0
 
 
 def _run_enum(args) -> int:
@@ -157,44 +147,30 @@ def _run_enum(args) -> int:
     return 0
 
 
-def _members_with_marks(args):
-    obj = parse_file(args.input)
-    if isinstance(obj, LinearLanguage):
-        l = obj
-    elif isinstance(obj, Transducer):
-        l = LinearLanguage(obj, "inverse")
-    else:
-        raise UsageError("expected a linear or transducer file")
-    return enumerate_members(l, args.maxlen)
-
-
 def _run_sig_check(args) -> int:
-    members = _members_with_marks(args)
+    members = enumerate_members(_load_linear(args.input), args.maxlen)
     if not members:
         print("no members up to the length bound")
         return 0
-    if args.search:
-        found = search_significant(members)
-        if found is None:
-            centered = [SigWord(w, (len(w) + 1) // 2) for w in members]
-            viol = check_significant(centered)
-            print(f"no assignment exists; for centered marks: {viol}")
-            return 1
+    found = search_significant(members) if args.search else None
+    if found is not None:
         for sw in found:
             print(f"{sw.word} position {sw.sig}")
         print("assignment found")
         return 0
-    sample = [SigWord(w, (len(w) + 1) // 2) for w in members]
-    viol = check_significant(sample)
-    if viol is None:
+    viol = check_significant([SigWord(w, (len(w) + 1) // 2) for w in members])
+    if args.search:
+        print(f"no assignment exists; for centered marks: {viol}")
+    elif viol is None:
         print(f"centered marks are significant on {len(members)} members")
         return 0
-    print(f"violation: {viol}")
+    else:
+        print(f"violation: {viol}")
     return 1
 
 
 def _run_central_check(args) -> int:
-    members = _members_with_marks(args)
+    members = enumerate_members(_load_linear(args.input), args.maxlen)
     if not members:
         print("no members up to the length bound")
         return 0
@@ -208,30 +184,25 @@ def _run_central_check(args) -> int:
 
 
 def _run_check_combing(args) -> int:
-    c = _load(args.input, Nfa, "an nfa")
-    o = _load(args.oracle, GroupOracle, "an oracle")
+    c = _load(args.input, *NFA)
+    o = _load(args.oracle, *ORACLE)
     rep = check_combing(c, o, args.radius, args.maxlen)
     print(rep)
     return 0 if rep.passed else 1
 
 
 def _run_extract(args) -> int:
-    c = _load(args.input, Nfa, "an nfa")
-    o = _load(args.oracle, GroupOracle, "an oracle")
-    lang = extract_generators(c, o, args.ft)
-    _emit(lang, args.out)
+    _check_out(args.out)
+    c = _load(args.input, *NFA)
+    o = _load(args.oracle, *ORACLE)
+    _emit(extract_generators(c, o, args.ft), args.out)
     return 0
 
 
 def _run_build(args) -> int:
-    obj = parse_file(args.input)
-    if isinstance(obj, LinearLanguage):
-        l = obj
-    elif isinstance(obj, Transducer):
-        l = LinearLanguage(obj, "inverse")
-    else:
-        raise UsageError("build takes a linear or transducer file")
-    o = _load(args.oracle, GroupOracle, "an oracle")
+    _check_out(args.out)
+    l = _load_linear(args.input)
+    o = _load(args.oracle, *ORACLE)
     cprime, report = build_combing(l, o, central=args.central, margin=args.margin)
     print(report)
     _emit(cprime, args.out)
@@ -239,8 +210,8 @@ def _run_build(args) -> int:
 
 
 def _run_ft_bound(args) -> int:
-    c = _load(args.input, Nfa, "an nfa")
-    o = _load(args.oracle, GroupOracle, "an oracle")
+    c = _load(args.input, *NFA)
+    o = _load(args.oracle, *ORACLE)
     k = ft_bound_of_combing(c, o, args.mode, args.maxlen)
     if k is None:
         print("no bound within the cap")
@@ -313,14 +284,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, OSError, UsageError) as e:
-        # ahead of ValueError, which FormatError and UsageError subclass;
+    except (OSError, ValueError, RuntimeError) as e:
+        print(f"error: {e}", file=sys.stderr)
         # OSError covers a missing file and a directory given as a file
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, (FormatError, OSError, UsageError)) else 1
 
 
 if __name__ == "__main__":

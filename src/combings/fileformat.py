@@ -65,6 +65,19 @@ def _int(lineno: int, tok: str, what: str) -> int:
         raise FormatError(lineno, f"{what} must be an integer, got {tok!r}") from None
 
 
+def _number_line(cur: _Cursor, key: str, what: str, positive: bool = False) -> tuple[int, int]:
+    """The line number and the integer of the next line, which must read
+    `key <integer>`."""
+    lineno, toks = cur.take()
+    if len(toks) != 2 or toks[0] != key:
+        article = "an" if key[0] in "aeiou" else "a"
+        raise FormatError(lineno or 1, f"expected {article} {key} line")
+    n = _int(lineno, toks[1], what)
+    if positive and n <= 0:
+        raise FormatError(lineno, f"{what} must be positive")
+    return lineno, n
+
+
 def _parse_alphabet(cur: _Cursor) -> Alphabet:
     lineno, toks = cur.take()
     if not toks or toks[0] != "alphabet":
@@ -95,19 +108,11 @@ def _label(lineno: int, alphabet: Alphabet, tok: str):
 
 def _parse_machine(cur: _Cursor, alphabet: Alphabet, nlabels: int):
     """Shared body for nfa (1 label per edge) and transducer (2 labels)."""
-    lineno, toks = cur.take()
-    if len(toks) != 2 or toks[0] != "states":
-        raise FormatError(lineno or 1, "expected a states line")
-    n = _int(lineno, toks[1], "state count")
-    if n <= 0:
-        raise FormatError(lineno, "state count must be positive")
+    lineno, n = _number_line(cur, "states", "state count", positive=True)
     if n > MAX_STATES:
         raise FormatError(lineno, f"state count {n} exceeds the limit {MAX_STATES}")
 
-    lineno, toks = cur.take()
-    if len(toks) != 2 or toks[0] != "initial":
-        raise FormatError(lineno or 1, "expected an initial line")
-    initial = _int(lineno, toks[1], "initial state")
+    lineno, initial = _number_line(cur, "initial", "initial state")
     if not 0 <= initial < n:
         raise FormatError(lineno, f"initial vertex {initial} out of range")
 
@@ -149,10 +154,7 @@ def _parse_oracle(cur: _Cursor, alphabet: Alphabet, kind_lineno: int, toks: list
             raise FormatError(cur.peek()[0], "oracle free takes no body")
         return FreeOracle(alphabet)
     if kind == "abelian":
-        lineno, toks = cur.take()
-        if len(toks) != 2 or toks[0] != "rank":
-            raise FormatError(lineno or 1, "expected a rank line")
-        rank = _int(lineno, toks[1], "rank")
+        lineno, rank = _number_line(cur, "rank", "rank")
         if rank < 0:
             raise FormatError(lineno, f"rank {rank} is negative")
         weights, lines = {}, {}
@@ -166,15 +168,9 @@ def _parse_oracle(cur: _Cursor, alphabet: Alphabet, kind_lineno: int, toks: list
                 raise FormatError(lineno, f"weight {toks[1]} given twice")
             weights[toks[1]] = [_int(lineno, t, "weight entry") for t in toks[2:]]
             lines[toks[1]] = lineno
-        try:
-            return AbelianOracle(alphabet, rank, weights)
-        except ValueError as e:  # a fault of a letter pair lies at the later line
-            raise FormatError(lines[e.symbol] if isinstance(e, LetterError) else lineno, str(e)) from None
-    if kind == "finite":
-        lineno, toks = cur.take()
-        if len(toks) != 2 or toks[0] != "elements":
-            raise FormatError(lineno or 1, "expected an elements line")
-        count = _int(lineno, toks[1], "element count")
+        cls, body = AbelianOracle, (rank, weights)
+    elif kind == "finite":
+        lineno, count = _number_line(cur, "elements", "element count", positive=True)
         letters, lines = {}, {}
         while not cur.done() and cur.peek()[1][0] == "letter":
             lineno, toks = cur.take()
@@ -200,11 +196,13 @@ def _parse_oracle(cur: _Cursor, alphabet: Alphabet, kind_lineno: int, toks: list
             table.append(row)
         if len(table) != count:
             raise FormatError(lineno, f"expected {count} table rows, got {len(table)}")
-        try:
-            return FiniteOracle(alphabet, table, letters)
-        except ValueError as e:  # a fault of a letter pair lies at the later line
-            raise FormatError(lines[e.symbol] if isinstance(e, LetterError) else lineno, str(e)) from None
-    raise FormatError(kind_lineno, f"unknown oracle kind {kind!r}")
+        cls, body = FiniteOracle, (table, letters)
+    else:
+        raise FormatError(kind_lineno, f"unknown oracle kind {kind!r}")
+    try:
+        return cls(alphabet, *body)
+    except ValueError as e:  # a fault of a letter pair lies at the later line
+        raise FormatError(lines[e.symbol] if isinstance(e, LetterError) else lineno, str(e)) from None
 
 
 def parse(text: str) -> Parsed:

@@ -779,11 +779,14 @@ def build_combing(
     in the image, so only a non-L1 abelian oracle searches, growing its
     cached ball until the class appears, and a class beyond
     DEFAULT_BALL_CAP elements fails the build.  A negative margin is
-    refused before any stage runs.  The cyclic garbage collector is paused
+    refused before any stage runs, and so is an oracle over another
+    alphabet than the language's.  The cyclic garbage collector is paused
     while it runs (_cyclic_gc_paused).
     """
     if l.mode != "inverse":
         raise ValueError("build_combing expects the u·v^-1 convention")
+    if l.t.alphabet != o.alphabet:
+        raise ValueError("the generator language and the oracle are over different alphabets")
     if margin < 0:
         raise ValueError(f"margin must be nonnegative, not {margin}")
     alphabet = l.t.alphabet

@@ -293,9 +293,10 @@ def check_balanced_cycles(t: Transducer) -> bool:
 
 def synchronized_bound(t: Transducer) -> Optional[int]:
     """The least k with every accepted pair satisfying ||u|-|v|| <= k, or
-    None when no such k exists.  Expects a trimmed transducer without
-    (ε,ε) cycles.  A bound exists iff every cycle is balanced; the bound
-    itself is the extreme path imbalance over the condensation."""
+    None when no such k exists.  Takes any transducer: it is trimmed here,
+    and an (ε,ε) cycle is balanced.  A bound exists iff every cycle is
+    balanced; the bound itself is the extreme path imbalance over the
+    condensation."""
     t = trim(t)
     if not t.terminals:
         return 0

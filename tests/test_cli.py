@@ -136,7 +136,7 @@ def test_aut_sync_bound(tmp_path, capsys):
 def test_aut_wrong_input_count_is_usage_error(capsys, astar_file, op):
     """Each aut operation takes a fixed number of files; one more, or one
     fewer, is a usage error that names the count it expects."""
-    want = cli.AUT_INPUTS[op]
+    want = len(cli.AUT_INPUTS[op])
     for count in (want - 1, want + 1):
         if count == 0:
             continue  # argparse itself refuses an empty file list
@@ -290,6 +290,24 @@ def test_build_verb(tmp_path, capsys, z_generators):
     assert nfa_mod.equivalent(cprime, both)
 
 
+@pytest.mark.parametrize(
+    "pairs, weights",
+    [([("a", "A")], {"a": [1]}), ([("x", "X"), ("y", "Y")], {"x": [1], "y": [0]})],
+    ids=["fewer letters", "other letters"],
+)
+def test_build_verb_refuses_an_oracle_over_another_alphabet(tmp_path, capsys, z_generators, pairs, weights):
+    """The README's ℤ generators with an oracle over other letters: an
+    error message and the checked-failure code, and no --out file."""
+    gf = _write(tmp_path, "gens.fst", z_generators)
+    of = _write(tmp_path, "o.oracle", AbelianOracle(Alphabet.from_pairs(pairs), 1, weights))
+    out = tmp_path / "cprime.nfa"
+    assert main(["build", gf, "--oracle", of, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the generator language and the oracle are over different alphabets\n"
+    assert not out.exists()
+
+
 def test_build_failure_exit_code(tmp_path, capsys, z_oracle_file):
     empty = Transducer(AB1, 1, [], 0, [])
     ef = _write(tmp_path, "empty.fst", empty)
@@ -406,3 +424,41 @@ def test_negative_count_is_usage_error(tmp_path, monkeypatch, capsys, argv, opti
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {option}: must be nonnegative, not -1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extract", "c.nfa", "--oracle", "z.oracle", "--ft", "2", "--out", "OUT"],
+        ["build", "gen.fst", "--oracle", "z.oracle", "--out", "OUT"],
+        ["aut", "union", "c.nfa", "c.nfa", "--out", "OUT"],
+        ["aut", "intersect-rect", "gen.fst", "c.nfa", "c.nfa", "--out", "OUT"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+@pytest.mark.parametrize(
+    "out, message",
+    [("", "[Errno 21] Is a directory"), ("nodir/out.txt", "[Errno 2] No such file or directory")],
+    ids=["directory", "missing directory"],
+)
+def test_unwritable_out_is_refused_before_the_work(tmp_path, monkeypatch, capsys, argv, out, message):
+    """An --out path that is a directory, or that lies in a directory that
+    does not exist, fails before any input is read: one error line, the
+    file-error code, and nothing written."""
+    files = {
+        "c.nfa": _write(tmp_path, "c.nfa", Nfa(AB1, 1, [(0, 0, 0), (0, 1, 0)], 0, [0])),
+        "z.oracle": _write(tmp_path, "z.oracle", AbelianOracle(AB1, 1, {"a": [1]})),
+        "gen.fst": _write(tmp_path, "gen.fst", td.from_pairs(AB, [(AB.word("ab"), AB.word(""))])),
+        "OUT": str(tmp_path / out),
+    }
+    before = sorted(tmp_path.rglob("*"))
+
+    def no_read(path):
+        raise AssertionError(f"{path} was read before --out was checked")
+
+    monkeypatch.setattr(cli, "parse_file", no_read)
+    assert main([files.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}: {str(tmp_path / out)!r}\n"
+    assert sorted(tmp_path.rglob("*")) == before

@@ -161,6 +161,8 @@ LINE_FAULTS = [
     ),
     pytest.param(FINITE_2 + "letter a 1\ntable 0 2\ntable 1 0\n", 6, "table entry 2 out of range", id="row-entry"),
     pytest.param(FINITE_2 + "letter a 5\n" + Z2_TABLE, 5, "letter a maps to 5, out of range", id="letter-image"),
+    pytest.param(FINITE_2.replace("2", "-1") + "letter a 0\n", 4, "element count must be positive", id="elements-negative"),
+    pytest.param(FINITE_2.replace("2", "0") + "letter a 0\n", 4, "element count must be positive", id="elements-zero"),
     pytest.param(FINITE_2 + "letter a 1\nletter a 0\n" + Z2_TABLE, 6, "letter a given twice", id="letter-twice"),
     pytest.param(ABELIAN_1 + "weight a 1\nweight a 2\n", 6, "weight a given twice", id="weight-twice"),
     # a fault between two letters lies at the later of their lines

@@ -577,6 +577,28 @@ def test_extract_generators_refuses_an_oracle_over_another_alphabet(
         extract_generators(c, o, ft_bound=2)
 
 
+@pytest.mark.parametrize(
+    "pairs, weights",
+    [([("a", "A")], {"a": [1]}), ([("x", "X"), ("y", "Y")], {"x": [1], "y": [0]})],
+    ids=["fewer letters", "other letters"],
+)
+def test_build_combing_refuses_an_oracle_over_another_alphabet(
+    z_generators, monkeypatch, pairs, weights
+):
+    """An oracle over other letters than the generator language's used to
+    fail inside the member sampling ("word over a different alphabet");
+    it is refused before any stage runs."""
+    o = AbelianOracle(Alphabet.from_pairs(pairs), 1, weights)
+
+    def no_stage(*args):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(structures.td, "trim", no_stage)
+    with pytest.raises(ValueError) as err:
+        build_combing(LinearLanguage(z_generators, "inverse"), o)
+    assert str(err.value) == "the generator language and the oracle are over different alphabets"
+
+
 def test_s5_extract_builds_only_its_answer(monkeypatch):
     """The S₅ extract of the benchmark constructs five automata: the ε-free
     combing, the freely reduced words, their reversal and its relabelling
