@@ -90,7 +90,7 @@ COMMANDS = [
     ["aut", "identity", "astar.nfa"],
     ["aut", "identity", "astar.nfa", "both.nfa"],
     ["aut", "sync-bound", "unbalanced.fst"],
-    ["aut", "sync-bound", "unbalanced.fst", "--out", "nodir/x"],
+    ["aut", "sync-bound", "unbalanced.fst", "--out", "nodir/out.txt"],
     ["aut", "sync-bound", "t.fst"],
     ["aut", "sync-bound", "loops.fst"],
     ["aut", "sync-bound", "astar.nfa"],

@@ -585,9 +585,8 @@ def test_extract_generators_refuses_an_oracle_over_another_alphabet(
 def test_build_combing_refuses_an_oracle_over_another_alphabet(
     z_generators, monkeypatch, pairs, weights
 ):
-    """An oracle over other letters than the generator language's used to
-    fail inside the member sampling ("word over a different alphabet");
-    it is refused before any stage runs."""
+    """An oracle over other letters than the generator language's is
+    refused before any stage runs, not inside the member sampling."""
     o = AbelianOracle(Alphabet.from_pairs(pairs), 1, weights)
 
     def no_stage(*args):
