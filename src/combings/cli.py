@@ -110,8 +110,9 @@ def _run_aut(args) -> int:
             "trim": nfa_mod.trim, "identity": td.identity_of,
             "project": lambda t: td.project(t, args.coordinate),
             "intersect-rect": lambda *ts: td.trim(td.intersect_rect(*ts))}.get(op)
-    if make:
-        _check_out(args.out)
+    if args.out and not make:
+        raise UsageError(f"aut {op} writes no automaton, so it takes no --out")
+    _check_out(args.out)
     ins = [_load(path, *kind) for path, kind in zip(args.inputs, kinds)]
     if op in ("union", "concat") and type(ins[0]) is not type(ins[1]):
         raise UsageError("union/concat take two nfa files or two transducer files")

@@ -131,68 +131,50 @@ def check_significant(sample: list[SigWord]) -> Optional[SigViolation]:
     return None
 
 
-def search_significant(words: list[Word]) -> Optional[list[SigWord]]:
-    """Exhaustively search a significant-letter assignment for the words.
+def _common_prefix(u: tuple, v: tuple) -> int:
+    n = 0
+    for x, y in zip(u, v):
+        if x != y:
+            break
+        n += 1
+    return n
 
-    Inverse words are constrained together (the mark mirrors), so the
-    search runs over one representative per {w, w^-1} orbit, backtracking
-    on the pairwise product checks.  Returns marks for the input words in
-    order, or None when no assignment exists.
+
+def search_significant(words: list[Word]) -> Optional[list[SigWord]]:
+    """A significant-letter assignment for the words, or None when none
+    exists.  Returns marks for the input words in order.
+
+    The block cancelled in y·w is the longest common prefix of y^-1 and w,
+    and the words seen by the check are closed under inversion.  So a mark
+    p on w survives every product exactly when lo(w) <= p <= hi(w), where
+    lo(w) is 1 + the longest prefix w shares with another word of the
+    closed set and hi(w) is |w| minus that prefix length for w^-1 (the
+    full collapse w·w^-1 is exempt).  In sorted order a word's longest
+    common prefix with any other word is one it shares with a neighbour.
+    Each orbit {w, w^-1} takes, on its first word, the position nearest
+    the center inside [lo, hi], the left one on a tie, and mirrors it.
     """
-    uniq: list[Word] = []
-    seen = set()
     for w in words:
         if len(w) == 0 or not w.is_freely_reduced():
             raise ValueError(f"word {str(w) or 'ε'} is not freely reduced and nonempty")
-        if w not in seen:
-            seen.add(w)
-            uniq.append(w)
-    orbits: list[Word] = []
-    orbit_of: dict[Word, tuple[int, bool]] = {}
+    uniq = list(dict.fromkeys(words))
+    closed = sorted({t for w in uniq for t in (w.indices, invert_word(w).indices)})
+    shared = dict.fromkeys(closed, 0)
+    for u, v in zip(closed, closed[1:]):
+        k = _common_prefix(u, v)
+        shared[u] = max(shared[u], k)
+        shared[v] = max(shared[v], k)
+    marks: dict[Word, SigWord] = {}
     for w in uniq:
-        if w in orbit_of:
+        if w in marks:
             continue
         iw = invert_word(w)
-        orbit_of[w] = (len(orbits), False)
-        if iw != w:
-            orbit_of[iw] = (len(orbits), True)
-        orbits.append(w)
-
-    assigned: list[SigWord] = []
-
-    def ok_with(new: SigWord) -> bool:
-        group = [new, new.inverse()]
-        others = assigned + [g for a in assigned for g in [a.inverse()]]
-        return all(
-            _violation(s1, s2) is None
-            for x in group
-            for y in others + group
-            for s1, s2 in ((x, y), (y, x))
-        )
-
-    def backtrack(i: int) -> bool:
-        if i == len(orbits):
-            return True
-        w = orbits[i]
-        # central positions first: they are the likeliest to survive products
-        positions = sorted(range(1, len(w) + 1), key=lambda p: (abs(2 * p - (len(w) + 1)), p))
-        for pos in positions:
-            cand = SigWord(w, pos)
-            if ok_with(cand):
-                assigned.append(cand)
-                if backtrack(i + 1):
-                    return True
-                assigned.pop()
-        return False
-
-    if not backtrack(0):
-        return None
-    out = []
-    for w in uniq:
-        idx, inverted = orbit_of[w]
-        sw = assigned[idx]
-        out.append(sw.inverse() if inverted else sw)
-    return out
+        lo, hi = 1 + shared[w.indices], len(w) - shared[iw.indices]
+        if lo > hi:
+            return None
+        marks[w] = SigWord(w, min(max((len(w) + 1) // 2, lo), hi))
+        marks[iw] = marks[w].inverse()
+    return [marks[w] for w in uniq]
 
 
 # ------------------------------------------------------------------- central

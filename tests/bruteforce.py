@@ -11,6 +11,7 @@ import importlib.util
 from collections import deque
 from itertools import product
 from pathlib import Path
+from typing import Optional
 
 from hypothesis import strategies as hst
 
@@ -29,6 +30,7 @@ from combings import (
 from combings import nfa as nfa_mod
 from combings import structures
 from combings import transducer as td
+from combings.structures import SigWord, _violation
 
 
 def words_upto(alphabet, maxlen):
@@ -777,3 +779,68 @@ def concat_sets(xs, ys, maxlen):
 
 def reverse_set(xs):
     return {Word(w.alphabet, tuple(reversed(w.indices))) for w in xs}
+
+
+def search_significant_backtracking(words: list[Word]) -> Optional[list[SigWord]]:
+    """Exhaustively search a significant-letter assignment for the words:
+    the reference for structures.search_significant.
+
+    Inverse words are constrained together (the mark mirrors), so the
+    search runs over one representative per {w, w^-1} orbit, backtracking
+    on the pairwise product checks.  Returns marks for the input words in
+    order, or None when no assignment exists.
+    """
+    uniq: list[Word] = []
+    seen = set()
+    for w in words:
+        if len(w) == 0 or not w.is_freely_reduced():
+            raise ValueError(f"word {str(w) or 'ε'} is not freely reduced and nonempty")
+        if w not in seen:
+            seen.add(w)
+            uniq.append(w)
+    orbits: list[Word] = []
+    orbit_of: dict[Word, tuple[int, bool]] = {}
+    for w in uniq:
+        if w in orbit_of:
+            continue
+        iw = invert_word(w)
+        orbit_of[w] = (len(orbits), False)
+        if iw != w:
+            orbit_of[iw] = (len(orbits), True)
+        orbits.append(w)
+
+    assigned: list[SigWord] = []
+
+    def ok_with(new: SigWord) -> bool:
+        group = [new, new.inverse()]
+        others = assigned + [g for a in assigned for g in [a.inverse()]]
+        return all(
+            _violation(s1, s2) is None
+            for x in group
+            for y in others + group
+            for s1, s2 in ((x, y), (y, x))
+        )
+
+    def backtrack(i: int) -> bool:
+        if i == len(orbits):
+            return True
+        w = orbits[i]
+        # central positions first: they are the likeliest to survive products
+        positions = sorted(range(1, len(w) + 1), key=lambda p: (abs(2 * p - (len(w) + 1)), p))
+        for pos in positions:
+            cand = SigWord(w, pos)
+            if ok_with(cand):
+                assigned.append(cand)
+                if backtrack(i + 1):
+                    return True
+                assigned.pop()
+        return False
+
+    if not backtrack(0):
+        return None
+    out = []
+    for w in uniq:
+        idx, inverted = orbit_of[w]
+        sw = assigned[idx]
+        out.append(sw.inverse() if inverted else sw)
+    return out

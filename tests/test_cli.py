@@ -1,6 +1,6 @@
 import pytest
 
-from combings import AbelianOracle, Alphabet, LinearLanguage, Nfa, Transducer
+from combings import AbelianOracle, Alphabet, LinearLanguage, Nfa, SigWord, Transducer, check_significant
 from combings import fileformat as ff
 from combings import nfa as nfa_mod
 from combings import transducer as td
@@ -8,6 +8,7 @@ from combings import cli
 from combings.cli import main
 from bruteforce import pairs_of_transducer
 from test_fileformat import LINE_FAULTS
+from test_golden import z3_extract
 from test_structures import Z2_SHORTLEX_EDGES
 
 
@@ -192,6 +193,20 @@ def test_sig_check_search_success(tmp_path, capsys):
     tf = _write(tmp_path, "gen.fst", t)
     assert main(["sig-check", tf, "--maxlen", "6", "--search"]) == 0
     assert "assignment found" in capsys.readouterr().out
+
+
+def test_sig_check_search_on_the_z3_generators(tmp_path, capsys):
+    """The search over the 104 ℤ³ generators up to length 6 finishes, and
+    the marks it prints pass the product check."""
+    l, _o = z3_extract()
+    lf = _write(tmp_path, "z3.lin", l)
+    assert main(["sig-check", lf, "--maxlen", "6", "--search"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "assignment found"
+    marked = [line.split(" position ") for line in lines[:-1]]
+    assert len(marked) == 104
+    sample = [SigWord(l.t.alphabet.word(w), int(p)) for w, p in marked]
+    assert check_significant(sample) is None
 
 
 def test_central_check(tmp_path, capsys):
@@ -462,3 +477,27 @@ def test_unwritable_out_is_refused_before_the_work(tmp_path, monkeypatch, capsys
     assert captured.out == ""
     assert captured.err == f"error: {message}: {str(tmp_path / out)!r}\n"
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["aut", "split", "c.nfa"],
+        ["aut", "equiv", "c.nfa", "c.nfa"],
+        ["aut", "sync-bound", "gen.fst"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_out_on_an_operation_that_writes_no_automaton_is_refused(tmp_path, monkeypatch, capsys, argv):
+    """--out given to an aut operation that prints a report is a usage
+    error, raised before any input is read."""
+
+    def no_read(path):
+        raise AssertionError(f"{path} was read before --out was checked")
+
+    monkeypatch.setattr(cli, "parse_file", no_read)
+    assert main(argv + ["--out", str(tmp_path / "out.txt")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: aut {argv[1]} writes no automaton, so it takes no --out\n"
+    assert list(tmp_path.iterdir()) == []

@@ -77,6 +77,7 @@ COMMANDS = [
     ["aut", "trim", "z1.oracle"],
     ["aut", "split", "both.nfa"],
     ["aut", "split", "t.fst"],
+    ["aut", "split", "both.nfa", "--out", "out/split.nfa"],
     ["aut", "equiv", "astar.nfa", "astar.nfa"],
     ["aut", "equiv", "astar.nfa", "both.nfa"],
     ["aut", "equiv", "astar.nfa", "t.fst"],

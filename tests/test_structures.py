@@ -3,7 +3,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as hst
 
 from combings import (
@@ -46,6 +46,7 @@ from bruteforce import (
     oracles,
     pair_product_bf,
     random_transducer,
+    search_significant_backtracking,
     shared_masks_by_elements,
     tail_classes_by_paths,
 )
@@ -130,6 +131,35 @@ def test_search_significant_against_every_assignment(words):
     if found is not None:
         assert [sw.word for sw in found] == distinct
         assert check_significant(found) is None
+
+
+PAIRS3 = [("a", "A"), ("b", "B"), ("c", "C")]
+
+
+@hst.composite
+def _word_sets(draw):
+    """1–6 freely reduced words of length 1–6 over 1–3 letter pairs, with
+    the inverses of some of them."""
+    ab = Alphabet.from_pairs(PAIRS3[: draw(hst.integers(1, 3))])
+    letters = hst.lists(hst.integers(0, len(ab) - 1), min_size=1, max_size=6)
+    reduced = (free_reduce(Word(ab, ls)) for ls in draw(hst.lists(letters, min_size=1, max_size=6)))
+    words = [w for w in reduced if len(w)]
+    words += [invert_word(w) for w in words if draw(hst.booleans())]
+    return words or [Word(ab, [0])]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_word_sets())
+def test_search_significant_matches_the_backtracking(words):
+    """The prefix-interval search returns exactly the marks of the
+    backtracking search it replaced, or None where that found none."""
+
+    def marks(found):
+        return None if found is None else [(sw.word, sw.sig) for sw in found]
+
+    want = marks(search_significant_backtracking(words))
+    event("no assignment" if want is None else "assignment")
+    assert marks(search_significant(words)) == want
 
 
 def test_check_central(ab2):
